@@ -40,13 +40,14 @@ from .synthgen import GenConfig, generate_fraud_dataset, generate_regression_dat
 from .training import (
     TrainConfig,
     fine_tune,
-    load_preset,
+    load_transformer_preset,
     predict_scores,
     pretrain_mlm,
     preset_train_config,
     save_pretrained,
     split_entities,
     train_supervised,
+    validate,
 )
 from .upsample import SmoteConfig, duplicate_upsample, smote_upsample
 
@@ -54,14 +55,6 @@ CSV_HEADER = [
     "arm", "precision", "recall", "f1", "gini", "capture_at_4",
     "metric_m", "rmse", "attn_pairs", "seconds",
 ]
-
-_PRESET_FAMILY = {
-    "hierarchical": "hierarchical",
-    "twin_tower": "twin_tower",
-    "hierarchical_joint": "hierarchical_joint",
-    "vanilla": "vanilla",
-}
-
 
 def _arm_seed(base_seed: int, arm_index: int) -> int:
     # distinct, reproducible per-arm streams without a shared generator
@@ -90,7 +83,7 @@ def validate_experiment_config(cfg: dict) -> None:
         raise ConfigError("arm names must be unique")
     for arm in arms:
         if "preset" in arm and arm["preset"] is not None:
-            load_preset(arm["preset"])  # raises on unknown preset
+            load_transformer_preset(arm["preset"])  # raises on unknown or non-transformer
         if arm.get("tower_mask", "both") not in TOWER_MASKS:
             raise ConfigError(f"bad tower_mask in arm {arm.get('name')!r}")
         if arm.get("upsample", "none") not in ("none", "smote", "duplicate"):
@@ -131,9 +124,9 @@ def _labels(windows) -> np.ndarray:
 
 def _arm_model_spec(arm: dict, n: int, m: int, head: str) -> ModelSpec:
     family = arm.get("family")
-    preset = load_preset(arm["preset"]) if arm.get("preset") else None
+    preset = load_transformer_preset(arm["preset"]) if arm.get("preset") else None
     if family is None and preset is not None:
-        family = _PRESET_FAMILY[preset["architecture"]]
+        family = preset["architecture"]
     if family is None:
         raise ConfigError(f"arm {arm.get('name')!r} names neither family nor preset")
     overrides = dict(arm.get("model", {}))
@@ -147,7 +140,7 @@ def _arm_model_spec(arm: dict, n: int, m: int, head: str) -> ModelSpec:
 
 
 def _arm_train_config(arm: dict, base_seed: int, arm_index: int, cfg: dict) -> TrainConfig:
-    preset = load_preset(arm["preset"]) if arm.get("preset") else None
+    preset = load_transformer_preset(arm["preset"]) if arm.get("preset") else None
     overrides = dict(arm.get("train", {}))
     overrides.setdefault("seed", _arm_seed(base_seed, arm_index))
     overrides.setdefault("val_fraction", cfg.get("val_fraction", 0.15))
@@ -430,8 +423,6 @@ def sweep(cfg: dict, grid: dict, out_dir, budget: int | None = None) -> dict:
         bins=cfg.get("bins", 32),
     )
 
-    from .training import _val_metric  # shared definition of "validation metric"
-
     results = []
     for i, (arm, point) in enumerate(arms):
         res = run_arm(arm, 100 + i, cfg, splits, artifact, out_dir)
@@ -450,7 +441,7 @@ def sweep(cfg: dict, grid: dict, out_dir, budget: int | None = None) -> dict:
                                        spec.family == "hierarchical_joint")
         else:
             val_inputs = _feature_inputs(splits[1], artifact.schema, artifact)
-        val_metric = _val_metric(model, val_inputs, _labels(splits[1]))
+        _, val_metric = validate(model, val_inputs, _labels(splits[1]))
         results.append({"point": point, "arm": arm["name"],
                         "val_metric": val_metric, "test": res})
 

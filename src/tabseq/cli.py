@@ -27,18 +27,14 @@ from .synthgen import GenConfig, generate_fraud_dataset, generate_regression_dat
 from .training import (
     TrainConfig,
     fine_tune,
-    load_preset,
+    load_matching_checkpoint,
+    load_transformer_preset,
     predict_scores,
     preset_train_config,
     pretrain_mlm,
     save_pretrained,
     split_entity_names,
 )
-
-
-def _set_threads(n: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
 
 
 def _load_data(args) -> Dataset:
@@ -83,11 +79,11 @@ def _windows_and_artifact(args, rule):
 
 
 def cmd_pretrain(args) -> int:
-    preset = load_preset(args.preset)
+    preset = load_transformer_preset(args.preset)
     args.window = args.window or preset["window_size"]
     args.stride = args.stride or preset.get("stride") or 1
     dataset, artifact, windows = _windows_and_artifact(args, "none")
-    family = bench._PRESET_FAMILY[preset["architecture"]]
+    family = preset["architecture"]
     keep_raw = family == "hierarchical_joint"
     ids, raw = bench._token_inputs(windows, artifact.schema, artifact, keep_raw)
     spec = ModelSpec(family=family, n=args.window, m=artifact.schema.n_features,
@@ -154,7 +150,7 @@ def cmd_finetune(args) -> int:
 def cmd_evaluate(args) -> int:
     rule = "any_positive" if args.task == "fraud" else "last_target"
     dataset, artifact, windows = _windows_and_artifact(args, rule)
-    header, state = load_checkpoint(args.checkpoint)
+    header, state = load_matching_checkpoint(args.checkpoint, artifact)
     spec = ModelSpec.from_json(header["model_spec"])
     token_path = spec.family.startswith("hierarchical")
     model = build_model(spec, seed=0, vocab=artifact.vocab if token_path else None)
@@ -251,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tabseq",
         description="Benchmark transformer families on sequential tabular data.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS/OpenMP thread pools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic dataset")
@@ -331,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads:
-        _set_threads(args.threads)
     try:
         return args.func(args)
     except TabseqError as exc:

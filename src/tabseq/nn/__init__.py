@@ -12,7 +12,6 @@ from .layers import (
     Module,
     MultiHeadSelfAttention,
     TaskHead,
-    mha_forward,
 )
 from .optim import Adam, AdamState, adam_step
 from .tensor import Tensor, cross_entropy, default_dtype, mse, set_default_dtype
@@ -36,7 +35,6 @@ __all__ = [
     "default_dtype",
     "grad_check",
     "load_checkpoint",
-    "mha_forward",
     "mse",
     "save_checkpoint",
     "set_default_dtype",

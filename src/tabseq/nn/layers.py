@@ -164,15 +164,6 @@ class MultiHeadSelfAttention(Module):
         return self.norm(x + out)
 
 
-def mha_forward(
-    x: Tensor,
-    block: MultiHeadSelfAttention,
-    counter: AttentionCounter | None = None,
-) -> Tensor:
-    """Functional entry point for one attention block (no dropout)."""
-    return block(x, counter=counter)
-
-
 class FeedForward(Module):
     """Position-wise two-layer MLP with residual add and layer norm."""
 

@@ -2,13 +2,17 @@
 
 Every operation records its parents and a backward closure on a tape;
 ``Tensor.backward`` walks the tape in reverse topological order and
-accumulates gradients. Gradients through broadcasting are sum-reduced back
+accumulates gradients. Inside ``no_grad()`` nothing is recorded, so a
+forward pass keeps no intermediate alive once the next operation has
+consumed it. Gradients through broadcasting are sum-reduced back
 to the parent shape. 64-bit floats are the default; 32-bit can be selected
 globally for faster training (gradient checks are only meaningful in
 64-bit).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
@@ -29,12 +33,30 @@ def default_dtype():
     return _DEFAULT_DTYPE
 
 
+_GRAD_ENABLED = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block: results have no parents and no
+    backward closure. The previous mode is restored on exit, exceptions
+    included."""
+    global _GRAD_ENABLED
+    previous, _GRAD_ENABLED = _GRAD_ENABLED, False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self.grad = None
+        if not _GRAD_ENABLED:
+            _parents, _backward_fn = (), None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self._parents = _parents
         self._backward_fn = _backward_fn
@@ -215,9 +237,12 @@ def gelu(a) -> Tensor:
     """Exact (erf-based) GELU; smooth everywhere, so finite differences behave."""
     a = as_tensor(a)
     cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = a.data * cdf
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-    return Tensor(out, _parents=(a,), _backward_fn=lambda g: (g * (cdf + a.data * pdf),))
+
+    def backward(g):  # the pdf is only needed here, so inference never computes it
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
+        return (g * (cdf + a.data * pdf),)
+
+    return Tensor(a.data * cdf, _parents=(a,), _backward_fn=backward)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:

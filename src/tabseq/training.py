@@ -143,34 +143,50 @@ def _batch(inputs, idx):
     return tuple(a[idx] if a is not None else None for a in inputs)
 
 
-def _supervised_loss(model, inputs, y, train=False, rng=None):
-    out = _forward(model, inputs, train, rng)
+def _supervised_loss(model, out, y):
     if model.spec.head == "binary":
         return cross_entropy(out, y.astype(np.int64))
     return mse(T.reshape(out, y.shape), T.Tensor(y))
 
 
+def _logits(model, inputs, batch_size: int = 512) -> list[np.ndarray]:
+    """Model outputs per batch of ``batch_size`` windows, computed without a tape."""
+    n = len(inputs[0])
+    with T.no_grad():  # a list, not a generator, so the tape is back on for the caller
+        return [_forward(model, _batch(inputs, np.arange(start, min(start + batch_size, n))),
+                         False, None).data
+                for start in range(0, n, batch_size)]
+
+
+def _scores(model, logits: np.ndarray) -> np.ndarray:
+    if model.spec.head == "binary":
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        return e[:, 1] / e.sum(axis=1)
+    return logits.reshape(-1)
+
+
 def predict_scores(model, inputs, batch_size: int = 512) -> np.ndarray:
     """Positive-class probability (binary head) or raw prediction (regressor)."""
-    n = len(inputs[0])
-    out = []
-    for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
-        logits = _forward(model, _batch(inputs, idx), False, None).data
-        if model.spec.head == "binary":
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            out.append(e[:, 1] / e.sum(axis=1))
-        else:
-            out.append(logits.reshape(-1))
-    return np.concatenate(out)
+    batches = _logits(model, inputs, batch_size)
+    return np.concatenate([_scores(model, logits) for logits in batches])
 
 
-def _val_metric(model, inputs, y) -> float:
-    scores = predict_scores(model, inputs)
+def validate(model, inputs, y) -> tuple[float, float]:
+    """Validation loss and metric from one forward pass over the windows.
+
+    The loss is the window-weighted mean of the per-batch losses; the metric
+    is F1 at 0.5 for a binary head and -RMSE for a regressor, so that higher
+    is better for both.
+    """
+    batches = _logits(model, inputs)
+    labels = np.split(y, np.cumsum([len(logits) for logits in batches])[:-1])
+    val_loss = sum(_supervised_loss(model, T.Tensor(logits), yb).item() * len(yb)
+                   for logits, yb in zip(batches, labels)) / len(y)
+    scores = np.concatenate([_scores(model, logits) for logits in batches])
     if model.spec.head == "binary":
-        return f1(scores >= 0.5, y)[2]
-    return -rmse(scores, y)  # higher is better, like the F1 branch
+        return val_loss, f1(scores >= 0.5, y)[2]
+    return val_loss, -rmse(scores, y)
 
 
 def _check_divergence(losses: list[float]) -> None:
@@ -232,22 +248,13 @@ def train_supervised(model, train_data, val_data, cfg: TrainConfig):
         raise ConfigError("no training samples")
 
     def loss_fn(idx, drop_rng):
-        return _supervised_loss(model, _batch(train_inputs, idx), train_y[idx],
-                                train=True, rng=drop_rng)
+        out = _forward(model, _batch(train_inputs, idx), True, drop_rng)
+        return _supervised_loss(model, out, train_y[idx])
 
     def eval_fn():
         if val_data is None or len(val_data[1]) == 0:
             return None, None
-        val_inputs, val_y = val_data
-        losses = []
-        for start in range(0, len(val_y), 512):
-            idx = np.arange(start, min(start + 512, len(val_y)))
-            losses.append(
-                (_supervised_loss(model, _batch(val_inputs, idx), val_y[idx]).item(),
-                 len(idx))
-            )
-        val_loss = sum(l * n for l, n in losses) / len(val_y)
-        return val_loss, _val_metric(model, val_inputs, val_y)
+        return validate(model, *val_data)
 
     model, history, _ = _fit(model, loss_fn, n_train, eval_fn, cfg)
     return model, history
@@ -279,14 +286,20 @@ def save_pretrained(path, model: HierarchicalModel, artifact: PreprocessArtifact
                     vocab_hash=artifact.content_hash(), seed=seed)
 
 
-def fine_tune(checkpoint_path, train_data, val_data, cfg: TrainConfig,
-              artifact: PreprocessArtifact, head: str = "binary"):
-    """Attach a fresh task head to a pretrained encoder and train end to end."""
-    header, state = load_checkpoint(checkpoint_path)
+def load_matching_checkpoint(path, artifact: PreprocessArtifact):
+    """Load a checkpoint (header, state) built against ``artifact``'s vocabulary."""
+    header, state = load_checkpoint(path)
     if header["vocab_hash"] != artifact.content_hash():
         raise VocabularyMismatch(
             "checkpoint was built against a different preprocessing artifact"
         )
+    return header, state
+
+
+def fine_tune(checkpoint_path, train_data, val_data, cfg: TrainConfig,
+              artifact: PreprocessArtifact, head: str = "binary"):
+    """Attach a fresh task head to a pretrained encoder and train end to end."""
+    header, state = load_matching_checkpoint(checkpoint_path, artifact)
     spec = replace(ModelSpec.from_json(header["model_spec"]), head=head)
     model = build_model(spec, seed=cfg.seed, vocab=artifact.vocab)
     encoder_state = {k: v for k, v in state.items() if not k.startswith("task_head.")}
@@ -314,6 +327,15 @@ def load_preset(name: str) -> dict:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     ref = importlib.resources.files("tabseq.presets").joinpath(f"{name}.json")
     return json.loads(ref.read_text(encoding="utf-8"))
+
+
+def load_transformer_preset(name: str) -> dict:
+    """Load a shipped preset that configures one of the transformer families."""
+    preset = load_preset(name)
+    if "architecture" not in preset:
+        raise ConfigError(f"preset {name!r} configures {preset.get('model')!r}, "
+                          "not a transformer family")
+    return preset
 
 
 def preset_train_config(preset: dict, **overrides) -> TrainConfig:

@@ -81,6 +81,12 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_experiment_config(cfg)
 
+    def test_non_transformer_preset(self):
+        cfg = base_config()
+        cfg["arms"][0]["preset"] = "default_lightgbm"
+        with pytest.raises(ConfigError, match="default_lightgbm"):
+            validate_experiment_config(cfg)
+
     def test_bad_tower_mask(self):
         cfg = base_config()
         cfg["arms"][1]["tower_mask"] = "sideways"
@@ -249,17 +255,35 @@ class TestCli:
         assert "vanilla" in table and "F1" in table
 
     def test_evaluate_checkpoint(self, pipeline, tmp_path):
-        root, data_dir, artifact = pipeline
+        root, data_dir, _ = pipeline
         ckpt = root / "run" / "vanilla_final.ckpt"
         assert ckpt.exists()
         metrics_path = tmp_path / "metrics.json"
         assert main(["evaluate", "--data", str(data_dir / "data.csv"),
                      "--schema", str(data_dir / "schema.json"),
-                     "--artifact", str(artifact), "--window", "5",
+                     "--artifact", str(root / "run" / "preprocess.json"), "--window", "5",
                      "--stride", "5", "--checkpoint", str(ckpt),
                      "--out", str(metrics_path)]) == 0
         metrics = json.loads(metrics_path.read_text())
         assert set(metrics) >= {"precision", "recall", "f1", "gini"}
+
+    def test_evaluate_rejects_other_vocabulary(self, pipeline, capsys):
+        # the pipeline's artifact is fitted on the seed-0 split, the
+        # checkpoint on the experiment's own (seed-3) split
+        root, data_dir, artifact = pipeline
+        assert main(["evaluate", "--data", str(data_dir / "data.csv"),
+                     "--schema", str(data_dir / "schema.json"),
+                     "--artifact", str(artifact), "--window", "5", "--stride", "5",
+                     "--checkpoint", str(root / "run" / "vanilla_final.ckpt")]) == 1
+        assert "error: checkpoint was built against a different" in capsys.readouterr().err
+
+    def test_pretrain_rejects_non_transformer_preset(self, pipeline, tmp_path, capsys):
+        _, data_dir, artifact = pipeline
+        assert main(["pretrain", "--data", str(data_dir / "data.csv"),
+                     "--schema", str(data_dir / "schema.json"),
+                     "--artifact", str(artifact), "--preset", "default_lightgbm",
+                     "--out", str(tmp_path / "pre.ckpt")]) == 1
+        assert "error: preset 'default_lightgbm'" in capsys.readouterr().err
 
     def test_error_exit_code(self, pipeline, capsys):
         root, data_dir, _ = pipeline

@@ -9,6 +9,7 @@ from tabseq.models import (
     joint_masked_loss,
 )
 from tabseq.nn import Tensor, grad_check
+from tabseq.nn import tensor as T
 from tabseq.preprocess import N_SPECIALS, FieldTokens, Vocabulary
 from tabseq.schema import FieldKind
 
@@ -334,6 +335,29 @@ class TestJointLoss:
         raw2[0, 0, 1] = 99.0
         _, rows_b = model.encode(masked, raw=raw2, mask=mask)
         assert np.max(np.abs(rows_a.data - rows_b.data)) == 0.0
+
+
+class TestNoGradForward:
+    @pytest.mark.parametrize("family", ["vanilla", "twin_tower", "hierarchical",
+                                        "hierarchical_joint"])
+    def test_logits_equal_taped_forward(self, family):
+        rng = np.random.default_rng(30)
+        spec = ModelSpec(family, 4, 3, hidden=8, heads=2, layers=1, dropout=0.2)
+        if family.startswith("hierarchical"):
+            model = build_model(spec, seed=6, vocab=small_vocab())
+            ids = random_ids(small_vocab(), 5, 4, rng)
+            raw = rng.standard_normal(ids.shape)  # read by the joint family only
+            forward = lambda: model(ids, raw=raw)
+        else:
+            model = build_model(spec, seed=6)
+            x = rng.standard_normal((5, 4, 3))
+            forward = lambda: model(x)
+        taped = forward()
+        with T.no_grad():
+            free = forward()
+        assert taped._parents
+        assert free._parents == () and free._backward_fn is None
+        assert np.array_equal(free.data, taped.data)
 
 
 class TestEndToEndGradients:

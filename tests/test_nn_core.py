@@ -18,7 +18,6 @@ from tabseq.nn import (
     adam_step,
     grad_check,
     load_checkpoint,
-    mha_forward,
     save_checkpoint,
 )
 from tabseq.nn import tensor as T
@@ -107,6 +106,24 @@ class TestAutogradPrimitives:
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ShapeError):
             (x * 2.0).backward()
+
+
+class TestNoGrad:
+    def test_records_no_tape_inside_only(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with T.no_grad():
+            y = T.gelu(x * 2.0)
+        assert y._parents == () and y._backward_fn is None and not y.requires_grad
+        assert (x * 2.0)._parents  # taping resumes after the block
+
+    def test_grad_mode_restored_after_exception(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ShapeError):
+            with T.no_grad():
+                (x * 2.0).backward()
+        y = T.tsum(x * 2.0)
+        y.backward()
+        assert (x.grad == 2.0).all()
 
 
 class TestLosses:
@@ -215,7 +232,7 @@ class TestLayers:
         counter = AttentionCounter()
         for batch, s in [(1, 1), (2, 5), (3, 7)]:
             counter.reset()
-            mha_forward(Tensor(rng.standard_normal((batch, s, 8))), mha, counter)
+            mha(Tensor(rng.standard_normal((batch, s, 8))), counter=counter)
             assert counter.count == batch * 4 * s * s
 
     def test_mha_shape_error(self):

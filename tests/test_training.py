@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from tabseq.errors import ConfigError, DivergenceError, VocabularyMismatch
+from tabseq.metrics import f1, rmse
 from tabseq.models import ModelSpec, build_model
+from tabseq.nn import cross_entropy, mse
+from tabseq.nn import tensor as T
 from tabseq.preprocess import MASK, N_SPECIALS, fit_preprocess
 from tabseq.schema import impute_missing, make_windows
 from tabseq.training import (
@@ -18,6 +21,7 @@ from tabseq.training import (
     save_pretrained,
     split_entities,
     train_supervised,
+    validate,
 )
 
 
@@ -172,9 +176,7 @@ class TestTrainSupervised:
         model, hist = train_supervised(model, (inputs, y), (val_inputs, val_y), cfg)
         assert len(hist.epochs) <= 30
         # the returned parameters reproduce the best observed validation loss
-        from tabseq.training import _supervised_loss
-
-        final_val = _supervised_loss(model, val_inputs, val_y).item()
+        final_val, _ = validate(model, val_inputs, val_y)
         assert final_val == pytest.approx(min(hist.val_loss), abs=1e-9)
 
     def test_divergence_detected(self):
@@ -187,6 +189,40 @@ class TestTrainSupervised:
                           patience=None, seed=0)
         with pytest.raises(DivergenceError):
             train_supervised(model, ((x,), y), None, cfg)
+
+
+class TestSinglePassValidation:
+    @staticmethod
+    def two_pass_reference(model, inputs, y):
+        """Loss from taped forwards over 512-window batches, metric from a
+        second pass through predict_scores."""
+        losses = []
+        for start in range(0, len(y), 512):
+            idx = np.arange(start, min(start + 512, len(y)))
+            out = model(inputs[0][idx])
+            if model.spec.head == "binary":
+                loss = cross_entropy(out, y[idx].astype(np.int64))
+            else:
+                loss = mse(T.reshape(out, y[idx].shape), T.Tensor(y[idx]))
+            losses.append((loss.item(), len(idx)))
+        val_loss = sum(l * n for l, n in losses) / len(y)
+        scores = predict_scores(model, inputs)
+        if model.spec.head == "binary":
+            return val_loss, f1(scores >= 0.5, y)[2]
+        return val_loss, -rmse(scores, y)
+
+    @pytest.mark.parametrize("head", ["binary", "regression"])
+    def test_history_equals_two_pass_reference(self, head):
+        inputs, y = separable_data(100, seed=4)
+        val_inputs, val_y = separable_data(700, seed=5)  # two batches of validation
+        if head == "regression":
+            y, val_y = inputs[0][:, :, 0].mean(axis=1), val_inputs[0][:, :, 0].mean(axis=1)
+        model = build_model(ModelSpec("vanilla", 2, 2, hidden=8, heads=2, layers=1,
+                                      head=head), seed=2)
+        cfg = TrainConfig(learning_rate=3e-3, batch_size=32, epochs=1, patience=None, seed=2)
+        model, hist = train_supervised(model, (inputs, y), (val_inputs, val_y), cfg)
+        val_loss, val_metric = self.two_pass_reference(model, val_inputs, val_y)
+        assert hist.val_loss == [val_loss] and hist.val_metric == [val_metric]
 
 
 class TestPretrainFineTune:
