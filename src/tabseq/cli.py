@@ -20,7 +20,6 @@ from .errors import TabseqError
 from .metrics import f1 as f1_score
 from .metrics import rank_metrics, rmse
 from .models import ModelSpec, build_model
-from .nn import load_checkpoint
 from .preprocess import PreprocessArtifact, fit_preprocess
 from .schema import Dataset, Schema, impute_missing, load_csv, make_windows, save_csv
 from .synthgen import GenConfig, generate_fraud_dataset, generate_regression_dataset
@@ -29,10 +28,12 @@ from .training import (
     fine_tune,
     load_matching_checkpoint,
     load_transformer_preset,
+    matching_checkpoint_header,
     predict_scores,
     preset_train_config,
     pretrain_mlm,
     save_pretrained,
+    split_entities,
     split_entity_names,
 )
 
@@ -71,18 +72,16 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _windows_and_artifact(args, rule):
-    dataset = _load_data(args)
-    artifact = PreprocessArtifact.load(args.artifact)
-    windows = make_windows(dataset, args.window, args.stride, rule)
-    return dataset, artifact, windows
+def _windows(args, rule):
+    return make_windows(_load_data(args), args.window, args.stride, rule)
 
 
 def cmd_pretrain(args) -> int:
     preset = load_transformer_preset(args.preset)
     args.window = args.window or preset["window_size"]
     args.stride = args.stride or preset.get("stride") or 1
-    dataset, artifact, windows = _windows_and_artifact(args, "none")
+    artifact = PreprocessArtifact.load(args.artifact)
+    windows = _windows(args, "none")
     family = preset["architecture"]
     keep_raw = family == "hierarchical_joint"
     ids, raw = bench._token_inputs(windows, artifact.schema, artifact, keep_raw)
@@ -122,12 +121,10 @@ def cmd_train(args) -> int:
 
 def cmd_finetune(args) -> int:
     rule = "any_positive" if args.task == "fraud" else "last_target"
-    dataset, artifact, windows = _windows_and_artifact(args, rule)
-    from .training import split_entities
-
-    train_w, val_w, _ = split_entities(windows, args.val_fraction,
+    artifact = PreprocessArtifact.load(args.artifact)
+    header = matching_checkpoint_header(args.checkpoint, artifact)
+    train_w, val_w, _ = split_entities(_windows(args, rule), args.val_fraction,
                                        args.test_fraction, args.seed)
-    header, _ = load_checkpoint(args.checkpoint)
     keep_raw = header["model_spec"]["family"] == "hierarchical_joint"
     train_inputs = bench._token_inputs(train_w, artifact.schema, artifact, keep_raw)
     val_inputs = bench._token_inputs(val_w, artifact.schema, artifact, keep_raw)
@@ -149,8 +146,9 @@ def cmd_finetune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     rule = "any_positive" if args.task == "fraud" else "last_target"
-    dataset, artifact, windows = _windows_and_artifact(args, rule)
+    artifact = PreprocessArtifact.load(args.artifact)
     header, state = load_matching_checkpoint(args.checkpoint, artifact)
+    windows = _windows(args, rule)
     spec = ModelSpec.from_json(header["model_spec"])
     token_path = spec.family.startswith("hierarchical")
     model = build_model(spec, seed=0, vocab=artifact.vocab if token_path else None)

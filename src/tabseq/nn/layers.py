@@ -40,38 +40,31 @@ class Module:
                     if isinstance(item, Module):
                         yield item
 
-    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        params = {}
+    def _walk(self, prefix: str, skip_frozen: bool):
+        """(name, parameter) pairs in attribute order, optionally skipping
+        frozen submodules."""
+        if skip_frozen and self.frozen:
+            return
         for name, value in vars(self).items():
             key = f"{prefix}{name}"
             if isinstance(value, Tensor) and value.requires_grad:
-                params[key] = value
+                yield key, value
             elif isinstance(value, Module):
-                params.update(value.named_parameters(f"{key}."))
+                yield from value._walk(f"{key}.", skip_frozen)
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        params.update(item.named_parameters(f"{key}.{i}."))
-        return params
+                        yield from item._walk(f"{key}.{i}.", skip_frozen)
+
+    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
+        return dict(self._walk(prefix, skip_frozen=False))
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
 
     def trainable_parameters(self) -> list[Tensor]:
         """Parameters of all submodules not marked frozen."""
-        if self.frozen:
-            return []
-        params = []
-        for name, value in vars(self).items():
-            if isinstance(value, Tensor) and value.requires_grad:
-                params.append(value)
-            elif isinstance(value, Module):
-                params.extend(value.trainable_parameters())
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        params.extend(item.trainable_parameters())
-        return params
+        return [t for _, t in self._walk("", skip_frozen=True)]
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         params = self.named_parameters()

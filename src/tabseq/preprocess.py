@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,10 @@ class Quantizer:
             raise RangeError("edges must be strictly increasing")
         if len(self.edges) != self.bins - 1:
             raise RangeError("edge count must be bins - 1")
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        return np.array(self.edges, dtype=np.float64)
 
 
 def fit_quantizer(d: Dataset, field_name: str, bins: int) -> Quantizer:
@@ -74,11 +79,17 @@ def fit_quantizer(d: Dataset, field_name: str, bins: int) -> Quantizer:
     return Quantizer(field_name, tuple(edges), len(edges) + 1)
 
 
+def _check_quantizable(v: np.ndarray) -> None:
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise RangeError(f"cannot quantize non-finite value {float(v[~finite][0])!r}")
+
+
 def apply_quantizer(q: Quantizer, v: float) -> int:
     """Bin id of v under half-open bins (-inf, e1], (e1, e2], ..., (e_{B-1}, inf)."""
-    if not np.isfinite(v):
-        raise RangeError(f"cannot quantize non-finite value {v!r}")
-    return int(np.searchsorted(q.edges, v, side="left"))
+    v = np.asarray(v, dtype=np.float64)
+    _check_quantizable(v)
+    return int(q.edge_array.searchsorted(v, side="left"))
 
 
 @dataclass(frozen=True)
@@ -110,19 +121,35 @@ class Vocabulary:
     def size(self) -> int:
         return N_SPECIALS + sum(f.size for f in self.fields)
 
+    @cached_property
+    def _by_name(self) -> dict[str, FieldTokens]:
+        return {f.name: f for f in self.fields}
+
+    @cached_property
+    def field_names(self) -> frozenset[str]:
+        return frozenset(self._by_name)
+
+    @cached_property
+    def category_tokens(self) -> dict[str, dict[str, int]]:
+        """Per categorical field, {category: token}; absent categories encode as UNK."""
+        tables = {}
+        for ft in self.fields:
+            if ft.kind is FieldKind.CATEGORICAL:
+                table = tables[ft.name] = {}
+                for i, entry in enumerate(ft.entries):
+                    table.setdefault(entry, ft.start + i)  # first position, as entries.index
+        return tables
+
     def field_tokens(self, name: str) -> FieldTokens:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise ShapeError(f"field {name!r} not in vocabulary")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ShapeError(f"field {name!r} not in vocabulary") from None
 
     def encode_cell(self, field_name: str, value) -> int:
         ft = self.field_tokens(field_name)
         if ft.kind is FieldKind.CATEGORICAL:
-            try:
-                return ft.start + ft.entries.index(value)
-            except ValueError:
-                return UNK
+            return self.category_tokens[field_name].get(value, UNK)
         return ft.start + int(value)  # value is a bin id
 
     def decode_token(self, token: int):
@@ -193,6 +220,16 @@ class FeatureMatrix:
             raise RangeError("feature matrix contains non-finite entries")
 
 
+def _feature_cells(w: SequenceWindow, schema: Schema) -> list[tuple]:
+    """The window's cells as one tuple per feature field; rejects a missing cell."""
+    columns = list(zip(*(rec.values for rec in w.rows))) or [()] * len(schema.fields)
+    cells = [columns[c] for c in schema.feature_columns]
+    for spec, col in zip(schema.feature_fields, cells):
+        if None in col:
+            raise RangeError(f"missing value in field {spec.name!r}; impute first")
+    return cells
+
+
 def encode_tokens(
     w: SequenceWindow,
     schema: Schema,
@@ -200,26 +237,34 @@ def encode_tokens(
     quantizers: dict[str, Quantizer],
     keep_raw: bool = False,
 ) -> TokenGrid:
-    """Map every cell of a window to its token id."""
+    """Map every cell of a window to its token id: one ``searchsorted`` per
+    numerical field, one table lookup per categorical cell.
+
+    Missing cells in any field are reported before non-finite values.
+    """
     feats = schema.feature_fields
-    if {f.name for f in feats} != {f.name for f in vocab.fields}:
+    if schema.feature_names != vocab.field_names:
         raise ShapeError("window schema does not match vocabulary fields")
+    cells = _feature_cells(w, schema)
     n = len(w.rows)
     m = len(feats)
-    ids = np.zeros((n, m), dtype=np.int64)
-    raw = np.zeros((n, m), dtype=np.float64) if keep_raw else None
-    for j, spec in enumerate(feats):
-        col = schema.index_of(spec.name)
-        for i, rec in enumerate(w.rows):
-            v = rec.values[col]
-            if v is None:
-                raise RangeError(f"missing value in field {spec.name!r}; impute first")
-            if spec.kind is FieldKind.NUMERICAL:
-                ids[i, j] = vocab.encode_cell(spec.name, apply_quantizer(quantizers[spec.name], v))
-                if keep_raw:
-                    raw[i, j] = v
-            else:
-                ids[i, j] = vocab.encode_cell(spec.name, v)
+    numerical = [j for j, spec in enumerate(feats) if spec.kind is FieldKind.NUMERICAL]
+    values = np.array([cells[j] for j in numerical], dtype=np.float64).reshape(len(numerical), n)
+    _check_quantizable(values)
+    values_of = dict(zip(numerical, values))
+    tokens = []
+    for j, (spec, col) in enumerate(zip(feats, cells)):
+        if spec.kind is FieldKind.NUMERICAL:
+            bins = quantizers[spec.name].edge_array.searchsorted(values_of[j], side="left")
+            tokens.append(bins + vocab.field_tokens(spec.name).start)
+        else:
+            table = vocab.category_tokens[spec.name]
+            tokens.append([table.get(c, UNK) for c in col])
+    ids = np.array(tokens, dtype=np.int64).reshape(m, n).T.copy()
+    raw = None
+    if keep_raw:
+        raw = np.zeros((n, m), dtype=np.float64)
+        raw[:, numerical] = values.T
     return TokenGrid(ids, np.zeros((n, m), dtype=bool), raw)
 
 
@@ -271,24 +316,23 @@ def fit_numeric_encoder(d: Dataset) -> NumericEncoder:
 
 
 def encode_numeric(w: SequenceWindow, schema: Schema, enc: NumericEncoder) -> FeatureMatrix:
-    """Standardize numerical cells and label-encode categorical cells."""
+    """Standardize numerical cells and label-encode categorical cells: one
+    table lookup per categorical cell, then ``(v - mean) / std`` over the
+    whole window."""
     feats = schema.feature_fields
-    out = np.zeros((len(w.rows), len(feats)), dtype=np.float64)
-    for j, spec in enumerate(feats):
-        col = schema.index_of(spec.name)
+    columns, stats = [], []
+    for spec, col in zip(feats, _feature_cells(w, schema)):
         if spec.kind is FieldKind.NUMERICAL:
-            mean, std = enc.stats[spec.name]
-            for i, rec in enumerate(w.rows):
-                v = rec.values[col]
-                if v is None:
-                    raise RangeError(f"missing value in field {spec.name!r}; impute first")
-                out[i, j] = (v - mean) / std
+            columns.append(col)
+            stats.append(enc.stats[spec.name])
         else:
             table = enc.label_tables[spec.name]
             unk = enc.unknown_label(spec.name)
-            for i, rec in enumerate(w.rows):
-                out[i, j] = table.get(rec.values[col], unk)
-    return FeatureMatrix(out)
+            columns.append([table.get(c, unk) for c in col])
+            stats.append((0.0, 1.0))  # (label - 0.0) / 1.0 is the label, exactly
+    x = np.array(columns, dtype=np.float64).reshape(len(feats), len(w.rows))
+    mean, std = np.array(stats, dtype=np.float64).T
+    return FeatureMatrix(np.divide(x.T - mean, std, order="C"))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import EmptyResult, ParseError, RangeError, SchemaMismatch
 
@@ -57,20 +58,33 @@ class Schema:
             keys.add(self.label_key)
         return keys
 
-    @property
+    @cached_property
     def feature_fields(self) -> tuple[FieldSpec, ...]:
         """Non-key fields, in declaration order; their count is the row width M."""
         return tuple(f for f in self.fields if f.name not in self.key_names)
+
+    @cached_property
+    def feature_names(self) -> frozenset[str]:
+        return frozenset(f.name for f in self.feature_fields)
+
+    @cached_property
+    def feature_columns(self) -> tuple[int, ...]:
+        """Record position of each feature field."""
+        return tuple(self.index_of(f.name) for f in self.feature_fields)
 
     @property
     def n_features(self) -> int:
         return len(self.feature_fields)
 
+    @cached_property
+    def _column_of(self) -> dict[str, int]:
+        return {f.name: i for i, f in enumerate(self.fields)}
+
     def index_of(self, name: str) -> int:
-        for i, f in enumerate(self.fields):
-            if f.name == name:
-                return i
-        raise SchemaMismatch(f"unknown field {name!r}")
+        try:
+            return self._column_of[name]
+        except KeyError:
+            raise SchemaMismatch(f"unknown field {name!r}") from None
 
     def field_by_name(self, name: str) -> FieldSpec:
         return self.fields[self.index_of(name)]

@@ -22,7 +22,7 @@ from .metrics import f1, rmse
 from .models import HierarchicalModel, ModelSpec, build_model
 from .nn import Adam, cross_entropy, mse
 from .nn import tensor as T
-from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn.checkpoint import load_checkpoint, load_checkpoint_header, save_checkpoint
 from .preprocess import MASK, N_SPECIALS, PreprocessArtifact
 from .schema import SequenceWindow
 
@@ -286,13 +286,25 @@ def save_pretrained(path, model: HierarchicalModel, artifact: PreprocessArtifact
                     vocab_hash=artifact.content_hash(), seed=seed)
 
 
-def load_matching_checkpoint(path, artifact: PreprocessArtifact):
-    """Load a checkpoint (header, state) built against ``artifact``'s vocabulary."""
-    header, state = load_checkpoint(path)
+def _check_vocabulary(header: dict, artifact: PreprocessArtifact) -> None:
     if header["vocab_hash"] != artifact.content_hash():
         raise VocabularyMismatch(
             "checkpoint was built against a different preprocessing artifact"
         )
+
+
+def matching_checkpoint_header(path, artifact: PreprocessArtifact) -> dict:
+    """The header of a checkpoint built against ``artifact``'s vocabulary,
+    read without its parameter data."""
+    header = load_checkpoint_header(path)
+    _check_vocabulary(header, artifact)
+    return header
+
+
+def load_matching_checkpoint(path, artifact: PreprocessArtifact):
+    """Load a checkpoint (header, state) built against ``artifact``'s vocabulary."""
+    header, state = load_checkpoint(path)
+    _check_vocabulary(header, artifact)
     return header, state
 
 

@@ -16,6 +16,7 @@ from tabseq.bench import (
 from tabseq.cli import main
 from tabseq.errors import ConfigError
 from tabseq.models import ModelSpec, expected_attention_pairs
+from tabseq.nn import save_checkpoint
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 MODULE_HELP = [sys.executable, "-c",
@@ -275,6 +276,18 @@ class TestCli:
                      "--schema", str(data_dir / "schema.json"),
                      "--artifact", str(artifact), "--window", "5", "--stride", "5",
                      "--checkpoint", str(root / "run" / "vanilla_final.ckpt")]) == 1
+        assert "error: checkpoint was built against a different" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    def test_vocabulary_checked_before_data(self, command, pipeline, tmp_path, capsys):
+        # the data path does not exist: a file error would mean the CSV was read first
+        _, data_dir, artifact = pipeline
+        ckpt = tmp_path / "other.ckpt"
+        save_checkpoint(ckpt, {}, {"family": "hierarchical"}, vocab_hash="0" * 64)
+        assert main([command, "--data", str(tmp_path / "absent.csv"),
+                     "--schema", str(data_dir / "schema.json"),
+                     "--artifact", str(artifact), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "out")]) == 1
         assert "error: checkpoint was built against a different" in capsys.readouterr().err
 
     def test_pretrain_rejects_non_transformer_preset(self, pipeline, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,11 @@ from tabseq.preprocess import (
     N_SPECIALS,
     PAD,
     UNK,
+    FieldTokens,
+    NumericEncoder,
     PreprocessArtifact,
     Quantizer,
+    Vocabulary,
     apply_quantizer,
     build_vocabulary,
     decode_tokens,
@@ -22,7 +27,16 @@ from tabseq.preprocess import (
     fit_preprocess,
     fit_quantizer,
 )
-from tabseq.schema import MISSING_CATEGORY, SequenceWindow, impute_missing, make_windows
+from tabseq.schema import (
+    MISSING_CATEGORY,
+    FieldKind,
+    FieldSpec,
+    Record,
+    Schema,
+    SequenceWindow,
+    impute_missing,
+    make_windows,
+)
 
 
 def amounts_dataset(values, channels=None):
@@ -253,3 +267,120 @@ class TestArtifact:
         doc["version"] = 99
         with pytest.raises(RangeError):
             PreprocessArtifact.from_json(doc)
+
+
+# Reference encoders written per cell, without the code under test: bin ids by
+# bisect on the edges, tokens by position in the field's entries.
+ORACLE_SCHEMA = Schema(
+    fields=(
+        FieldSpec("entity_id", FieldKind.CATEGORICAL),
+        FieldSpec("time_idx", FieldKind.NUMERICAL),
+        FieldSpec("x", FieldKind.NUMERICAL),
+        FieldSpec("c", FieldKind.CATEGORICAL),
+        FieldSpec("y", FieldKind.NUMERICAL),
+        FieldSpec("d", FieldKind.CATEGORICAL),
+    ),
+    entity_key="entity_id",
+    time_key="time_idx",
+)
+KNOWN = {"c": ("a", "b", "c"), "d": ("p", "q")}
+
+
+def oracle_artifact(edges, stats):
+    """Hand-built quantizers, vocabulary and numeric encoder for ORACLE_SCHEMA."""
+    quantizers = {name: Quantizer(name, tuple(e), len(e) + 1) for name, e in edges.items()}
+    tables, start = [], N_SPECIALS
+    for spec in ORACLE_SCHEMA.feature_fields:
+        if spec.kind is FieldKind.CATEGORICAL:
+            entries = KNOWN[spec.name] + (MISSING_CATEGORY,)
+        else:
+            entries = tuple(f"bin_{i}" for i in range(quantizers[spec.name].bins))
+        tables.append(FieldTokens(spec.name, spec.kind, start, entries))
+        start += len(entries)
+    labels = {name: {c: i for i, c in enumerate(KNOWN[name] + (MISSING_CATEGORY,))}
+              for name in KNOWN}
+    return quantizers, Vocabulary(tuple(tables)), NumericEncoder(stats, labels)
+
+
+def oracle_window(rows):
+    """rows: one {field: value} dict per time step."""
+    return SequenceWindow("e", tuple(
+        Record(("e", float(t)) + tuple(r[f.name] for f in ORACLE_SCHEMA.fields[2:]), "e", t)
+        for t, r in enumerate(rows)))
+
+
+@st.composite
+def oracle_cases(draw):
+    edges = {name: sorted(draw(st.lists(st.floats(-1e3, 1e3), max_size=6, unique=True)))
+             for name in ("x", "y")}
+    stats = {name: (draw(st.floats(-1e3, 1e3)), draw(st.floats(1e-3, 1e3)))
+             for name in ("x", "y")}
+
+    def numeric(name):
+        on_edge = [st.sampled_from(edges[name])] if edges[name] else []
+        return st.one_of(st.floats(-2e3, 2e3), *on_edge)
+
+    def category(name):
+        return st.sampled_from(KNOWN[name] + (MISSING_CATEGORY, "unseen"))
+
+    row = st.fixed_dictionaries({"x": numeric("x"), "c": category("c"),
+                                 "y": numeric("y"), "d": category("d")})
+    return edges, stats, draw(st.lists(row, min_size=1, max_size=6)), draw(st.booleans())
+
+
+class TestEncoderOracle:
+    @given(oracle_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_cell_reference(self, case):
+        edges, stats, rows, keep_raw = case
+        quantizers, vocab, enc = oracle_artifact(edges, stats)
+        w = oracle_window(rows)
+        starts = {ft.name: ft.start for ft in vocab.fields}
+        entries = {ft.name: ft.entries for ft in vocab.fields}
+        feats = [f.name for f in ORACLE_SCHEMA.feature_fields]
+
+        def token(name, v):
+            if name in KNOWN:
+                return starts[name] + entries[name].index(v) if v in entries[name] else UNK
+            return starts[name] + bisect.bisect_left(edges[name], v)
+
+        def feature(name, v):
+            if name in KNOWN:
+                return enc.label_tables[name].get(v, len(enc.label_tables[name]))
+            mean, std = stats[name]
+            return (v - mean) / std
+
+        want_ids = np.array([[token(f, r[f]) for f in feats] for r in rows])
+        want_raw = np.array([[0.0 if f in KNOWN else r[f] for f in feats] for r in rows])
+        want_x = np.array([[feature(f, r[f]) for f in feats] for r in rows])
+
+        g = encode_tokens(w, ORACLE_SCHEMA, vocab, quantizers, keep_raw=keep_raw)
+        assert np.array_equal(g.ids, want_ids)
+        assert np.array_equal(g.raw, want_raw) if keep_raw else g.raw is None
+        assert np.array_equal(encode_numeric(w, ORACLE_SCHEMA, enc).values, want_x)
+        for f in feats:  # the per-cell helpers read the same tables
+            for r in rows:
+                cell = r[f] if f in KNOWN else apply_quantizer(quantizers[f], r[f])
+                assert vocab.encode_cell(f, cell) == token(f, r[f])
+
+    def encode_both(self, row):
+        quantizers, vocab, enc = oracle_artifact({"x": [0.0], "y": []},
+                                                 {"x": (0.0, 1.0), "y": (0.0, 1.0)})
+        good = {"x": 1.0, "c": "a", "y": 2.0, "d": "p"}
+        w = oracle_window([good, {**good, **row}])
+        yield lambda: encode_tokens(w, ORACLE_SCHEMA, vocab, quantizers)
+        yield lambda: encode_numeric(w, ORACLE_SCHEMA, enc)
+
+    @pytest.mark.parametrize("field_name", ["x", "c"])
+    def test_missing_cell_rejected(self, field_name):
+        for encode in self.encode_both({field_name: None}):
+            with pytest.raises(RangeError,
+                               match=f"missing value in field '{field_name}'; impute first"):
+                encode()
+
+    def test_non_finite_value_rejected(self):
+        tokens, numeric = self.encode_both({"y": float("inf")})
+        with pytest.raises(RangeError, match="cannot quantize non-finite value inf"):
+            tokens()
+        with pytest.raises(RangeError, match="feature matrix contains non-finite entries"):
+            numeric()
