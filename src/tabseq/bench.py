@@ -34,11 +34,13 @@ from .models import (
     build_model,
     expected_attention_pairs,
 )
-from .preprocess import PreprocessArtifact, encode_numeric, encode_tokens, fit_preprocess
+from .preprocess import PreprocessArtifact, fit_preprocess
 from .schema import Dataset, Schema, impute_missing, load_csv, make_windows
 from .synthgen import GenConfig, generate_fraud_dataset, generate_regression_dataset
 from .training import (
+    TASKS,
     TrainConfig,
+    encode_inputs,
     fine_tune,
     load_transformer_preset,
     predict_scores,
@@ -47,7 +49,7 @@ from .training import (
     save_pretrained,
     split_entities,
     train_supervised,
-    validate,
+    window_labels,
 )
 from .upsample import SmoteConfig, duplicate_upsample, smote_upsample
 
@@ -58,8 +60,8 @@ CSV_HEADER = [
 
 def _arm_seed(base_seed: int, arm_index: int) -> int:
     # distinct, reproducible per-arm streams without a shared generator
-    return int(np.random.SeedSequence(base_seed, spawn_key=(arm_index,)).entropy) % (2**31) \
-        + arm_index
+    state = np.random.SeedSequence(base_seed, spawn_key=(arm_index,)).generate_state(1)
+    return int(state[0]) % 2**31
 
 
 def load_experiment_config(path) -> dict:
@@ -73,8 +75,8 @@ def validate_experiment_config(cfg: dict) -> None:
     data = cfg.get("data", {})
     if ("generator" in data) == ("csv" in data):
         raise ConfigError("config needs exactly one data source: generator or csv")
-    if cfg.get("task", "fraud") not in ("fraud", "regression"):
-        raise ConfigError("task must be 'fraud' or 'regression'")
+    if cfg.get("task", "fraud") not in TASKS:
+        raise ConfigError(f"task must be one of {tuple(TASKS)}")
     arms = cfg.get("arms", [])
     if not arms:
         raise ConfigError("config declares no arms")
@@ -101,25 +103,22 @@ def _load_dataset(cfg: dict) -> Dataset:
     return load_csv(data["csv"], schema)
 
 
-def _subset_by_entities(d: Dataset, entities: set) -> Dataset:
-    return Dataset(d.schema, tuple(r for r in d.records if r.entity in entities))
-
-
-def _feature_inputs(windows, schema, artifact):
-    x = np.stack([encode_numeric(w, schema, artifact.numeric).values for w in windows])
-    return (x,)
-
-
-def _token_inputs(windows, schema, artifact, keep_raw):
-    grids = [encode_tokens(w, schema, artifact.vocab, artifact.quantizers, keep_raw)
-             for w in windows]
-    ids = np.stack([g.ids for g in grids])
-    raw = np.stack([g.raw for g in grids]) if keep_raw else None
-    return (ids, raw)
-
-
-def _labels(windows) -> np.ndarray:
-    return np.array([w.label for w in windows], dtype=np.float64)
+def prepare(cfg: dict):
+    """Load, impute, window, split and fit: returns the (train, val, test)
+    window lists and the artifact fitted on the train entities' rows."""
+    dataset = impute_missing(_load_dataset(cfg))
+    rule, _ = TASKS[cfg.get("task", "fraud")]
+    windows = make_windows(dataset, cfg.get("window_size", 10), cfg.get("stride", 5), rule)
+    splits = split_entities(windows, cfg.get("val_fraction", 0.15),
+                            cfg.get("test_fraction", 0.15), cfg.get("seed", 0))
+    for name, part in zip(("train", "validation", "test"), splits):
+        if not part:
+            raise ConfigError(f"entity split produced an empty {name} partition")
+    train_entities = {w.entity for w in splits[0]}
+    artifact = fit_preprocess(
+        Dataset(dataset.schema, tuple(r for r in dataset.records if r.entity in train_entities)),
+        bins=cfg.get("bins", 32))
+    return splits, artifact
 
 
 def _arm_model_spec(arm: dict, n: int, m: int, head: str) -> ModelSpec:
@@ -129,25 +128,22 @@ def _arm_model_spec(arm: dict, n: int, m: int, head: str) -> ModelSpec:
         family = preset["architecture"]
     if family is None:
         raise ConfigError(f"arm {arm.get('name')!r} names neither family nor preset")
-    overrides = dict(arm.get("model", {}))
     kwargs = dict(family=family, n=n, m=m, head=head)
     if preset is not None:
         kwargs["hidden"] = preset["hidden_units"]
         kwargs["heads"] = preset["attention_heads"]
         kwargs["dropout"] = preset["dropout"]
-    kwargs.update(overrides)
-    return ModelSpec(**kwargs)
+    if "tower_mask" in arm:
+        kwargs["tower_mask"] = arm["tower_mask"]
+    kwargs.update(arm.get("model", {}))
+    return ModelSpec.from_json(kwargs)
 
 
-def _arm_train_config(arm: dict, base_seed: int, arm_index: int, cfg: dict) -> TrainConfig:
-    preset = load_transformer_preset(arm["preset"]) if arm.get("preset") else None
-    overrides = dict(arm.get("train", {}))
-    overrides.setdefault("seed", _arm_seed(base_seed, arm_index))
-    overrides.setdefault("val_fraction", cfg.get("val_fraction", 0.15))
-    overrides.setdefault("test_fraction", cfg.get("test_fraction", 0.15))
-    if preset is not None:
-        return preset_train_config(preset, **overrides)
-    return TrainConfig(**overrides)
+def _arm_train_config(arm: dict, base_seed: int, arm_index: int) -> TrainConfig:
+    overrides = {"seed": _arm_seed(base_seed, arm_index), **arm.get("train", {})}
+    if arm.get("preset"):
+        return preset_train_config(load_transformer_preset(arm["preset"]), **overrides)
+    return TrainConfig.from_json(overrides)
 
 
 def _upsample_training_data(arm, inputs, y, seed):
@@ -216,24 +212,15 @@ def run_arm(arm: dict, arm_index: int, cfg: dict, splits, artifact: PreprocessAr
             out_dir) -> dict:
     """Train and evaluate one arm; returns its deterministic report entry."""
     task = cfg.get("task", "fraud")
-    head = "binary" if task == "fraud" else "regression"
-    schema = artifact.schema
-    train_w, val_w, test_w = splits
-    n = len(train_w[0].rows)
-    m = schema.n_features
-
-    spec = _arm_model_spec(arm, n, m, head)
-    tcfg = _arm_train_config(arm, cfg.get("seed", 0), arm_index, cfg)
+    _, head = TASKS[task]
+    spec = _arm_model_spec(arm, len(splits[0][0].rows), artifact.schema.n_features, head)
+    tcfg = _arm_train_config(arm, cfg.get("seed", 0), arm_index)
     seed = tcfg.seed
     token_path = spec.family.startswith("hierarchical")
-    keep_raw = spec.family == "hierarchical_joint"
 
-    if token_path:
-        encode = lambda ws: _token_inputs(ws, schema, artifact, keep_raw)
-    else:
-        encode = lambda ws: _feature_inputs(ws, schema, artifact)
-    train_inputs, val_inputs, test_inputs = encode(train_w), encode(val_w), encode(test_w)
-    train_y, val_y, test_y = _labels(train_w), _labels(val_w), _labels(test_w)
+    train_inputs, val_inputs, test_inputs = (encode_inputs(ws, artifact, spec.family)
+                                             for ws in splits)
+    train_y, val_y, test_y = (window_labels(ws) for ws in splits)
 
     if task == "fraud":
         train_inputs, train_y = _upsample_training_data(arm, train_inputs, train_y, seed)
@@ -258,7 +245,7 @@ def run_arm(arm: dict, arm_index: int, cfg: dict, splits, artifact: PreprocessAr
         model, hist = fine_tune(ckpt, (train_inputs, train_y), (val_inputs, val_y),
                                 tcfg, artifact, head=head)
     else:
-        model = build_model(spec, seed=seed, tower_mask=arm.get("tower_mask", "both"))
+        model = build_model(spec, seed=seed)
         model, hist = train_supervised(model, (train_inputs, train_y),
                                        (val_inputs, val_y), tcfg)
 
@@ -272,6 +259,7 @@ def run_arm(arm: dict, arm_index: int, cfg: dict, splits, artifact: PreprocessAr
                     vocab_hash=artifact.content_hash(), seed=seed)
 
     result = _evaluate(model, test_inputs, test_y, task)
+    result["val_metric"] = hist.val_metric[hist.best_epoch - 1]  # the restored model's
     result["attn_pairs"] = _measure_attention_pairs(model, test_inputs)
     result["attn_pairs_closed_form"] = expected_attention_pairs(spec, 1)
     result["model_spec"] = spec.to_json()
@@ -288,17 +276,7 @@ def run_experiment(cfg: dict, out_dir) -> dict:
     t_start = time.perf_counter()
     seed = cfg.get("seed", 0)
 
-    dataset = impute_missing(_load_dataset(cfg))
-    task = cfg.get("task", "fraud")
-    rule = "any_positive" if task == "fraud" else "last_target"
-    windows = make_windows(dataset, cfg.get("window_size", 10), cfg.get("stride", 5), rule)
-    splits = split_entities(windows, cfg.get("val_fraction", 0.15),
-                            cfg.get("test_fraction", 0.15), seed)
-    train_w = splits[0]
-    if not train_w or not splits[2]:
-        raise ConfigError("entity split produced an empty train or test partition")
-    artifact = fit_preprocess(_subset_by_entities(dataset, {w.entity for w in train_w}),
-                              bins=cfg.get("bins", 32))
+    splits, artifact = prepare(cfg)
     artifact.save(os.path.join(out_dir, "preprocess.json"))
 
     arms = {}
@@ -390,18 +368,18 @@ def _grid_points(grid: dict, budget: int | None, seed: int) -> list[dict]:
 
 def sweep(cfg: dict, grid: dict, out_dir, budget: int | None = None) -> dict:
     """Grid (or budgeted random) search over TrainConfig/ModelSpec fields of
-    the first arm; selects the best validation metric, then reports the best
-    point's test metrics alongside the default arm's."""
+    the first arm; selects the point with the best validation metric and
+    reports that point's test metrics."""
     validate_experiment_config(cfg)
     if not grid:
         raise ConfigError("sweep needs a non-empty grid")
     os.makedirs(out_dir, exist_ok=True)
     base = cfg["arms"][0]
     model_keys = {"hidden", "heads", "layers", "field_layers", "dropout"}
+    splits, artifact = prepare(cfg)
 
-    points = _grid_points(grid, budget, cfg.get("seed", 0))
-    arms = []
-    for i, point in enumerate(points):
+    results = []
+    for i, point in enumerate(_grid_points(grid, budget, cfg.get("seed", 0))):
         arm = json.loads(json.dumps(base))
         arm["name"] = f"sweep_{i:03d}"
         arm.setdefault("model", {})
@@ -409,41 +387,9 @@ def sweep(cfg: dict, grid: dict, out_dir, budget: int | None = None) -> dict:
         for k, v in point.items():
             (arm["model"] if k in model_keys else arm["train"])[k] = v
         arm["train"]["seed"] = _arm_seed(cfg.get("seed", 0), 100 + i)
-        arms.append((arm, point))
-
-    # evaluate each point by validation metric
-    dataset = impute_missing(_load_dataset(cfg))
-    task = cfg.get("task", "fraud")
-    rule = "any_positive" if task == "fraud" else "last_target"
-    windows = make_windows(dataset, cfg.get("window_size", 10), cfg.get("stride", 5), rule)
-    splits = split_entities(windows, cfg.get("val_fraction", 0.15),
-                            cfg.get("test_fraction", 0.15), cfg.get("seed", 0))
-    artifact = fit_preprocess(
-        _subset_by_entities(dataset, {w.entity for w in splits[0]}),
-        bins=cfg.get("bins", 32),
-    )
-
-    results = []
-    for i, (arm, point) in enumerate(arms):
         res = run_arm(arm, 100 + i, cfg, splits, artifact, out_dir)
-        head = "binary" if task == "fraud" else "regression"
-        spec = ModelSpec.from_json(res["model_spec"])
-        from .nn import load_checkpoint
-        from .models import build_model as _build
-
-        model = _build(spec, seed=res["train_config"]["seed"],
-                       vocab=artifact.vocab if spec.family.startswith("hier") else None,
-                       tower_mask=arm.get("tower_mask", "both"))
-        _, state = load_checkpoint(res["checkpoint"])
-        model.load_state(state)
-        if spec.family.startswith("hierarchical"):
-            val_inputs = _token_inputs(splits[1], artifact.schema, artifact,
-                                       spec.family == "hierarchical_joint")
-        else:
-            val_inputs = _feature_inputs(splits[1], artifact.schema, artifact)
-        _, val_metric = validate(model, val_inputs, _labels(splits[1]))
         results.append({"point": point, "arm": arm["name"],
-                        "val_metric": val_metric, "test": res})
+                        "val_metric": res["val_metric"], "test": res})
 
     best = max(results, key=lambda r: r["val_metric"])
     report = {

@@ -19,12 +19,14 @@ from . import bench
 from .errors import TabseqError
 from .metrics import f1 as f1_score
 from .metrics import rank_metrics, rmse
-from .models import ModelSpec, build_model
+from .models import TOWER_MASKS, ModelSpec, build_model
 from .preprocess import PreprocessArtifact, fit_preprocess
 from .schema import Dataset, Schema, impute_missing, load_csv, make_windows, save_csv
 from .synthgen import GenConfig, generate_fraud_dataset, generate_regression_dataset
 from .training import (
+    TASKS,
     TrainConfig,
+    encode_inputs,
     fine_tune,
     load_matching_checkpoint,
     load_transformer_preset,
@@ -35,6 +37,7 @@ from .training import (
     save_pretrained,
     split_entities,
     split_entity_names,
+    window_labels,
 )
 
 
@@ -72,8 +75,9 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _windows(args, rule):
-    return make_windows(_load_data(args), args.window, args.stride, rule)
+def _windows(args, rule=None):
+    return make_windows(_load_data(args), args.window, args.stride,
+                        rule or TASKS[args.task][0])
 
 
 def cmd_pretrain(args) -> int:
@@ -81,10 +85,8 @@ def cmd_pretrain(args) -> int:
     args.window = args.window or preset["window_size"]
     args.stride = args.stride or preset.get("stride") or 1
     artifact = PreprocessArtifact.load(args.artifact)
-    windows = _windows(args, "none")
     family = preset["architecture"]
-    keep_raw = family == "hierarchical_joint"
-    ids, raw = bench._token_inputs(windows, artifact.schema, artifact, keep_raw)
+    ids, raw = encode_inputs(_windows(args, "none"), artifact, family)
     spec = ModelSpec(family=family, n=args.window, m=artifact.schema.n_features,
                      hidden=args.hidden or preset["hidden_units"],
                      heads=args.heads or preset["attention_heads"],
@@ -120,20 +122,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    rule = "any_positive" if args.task == "fraud" else "last_target"
     artifact = PreprocessArtifact.load(args.artifact)
-    header = matching_checkpoint_header(args.checkpoint, artifact)
-    train_w, val_w, _ = split_entities(_windows(args, rule), args.val_fraction,
+    family = matching_checkpoint_header(args.checkpoint, artifact)["model_spec"]["family"]
+    train_w, val_w, _ = split_entities(_windows(args), args.val_fraction,
                                        args.test_fraction, args.seed)
-    keep_raw = header["model_spec"]["family"] == "hierarchical_joint"
-    train_inputs = bench._token_inputs(train_w, artifact.schema, artifact, keep_raw)
-    val_inputs = bench._token_inputs(val_w, artifact.schema, artifact, keep_raw)
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed)
-    head = "binary" if args.task == "fraud" else "regression"
-    model, history = fine_tune(args.checkpoint, (train_inputs, bench._labels(train_w)),
-                               (val_inputs, bench._labels(val_w)), cfg, artifact,
-                               head=head)
+    model, history = fine_tune(
+        args.checkpoint, (encode_inputs(train_w, artifact, family), window_labels(train_w)),
+        (encode_inputs(val_w, artifact, family), window_labels(val_w)), cfg, artifact,
+        head=TASKS[args.task][1])
     from .nn import save_checkpoint
 
     save_checkpoint(args.out, model.state(), model.spec.to_json(),
@@ -145,21 +143,14 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    rule = "any_positive" if args.task == "fraud" else "last_target"
     artifact = PreprocessArtifact.load(args.artifact)
     header, state = load_matching_checkpoint(args.checkpoint, artifact)
-    windows = _windows(args, rule)
+    windows = _windows(args)
     spec = ModelSpec.from_json(header["model_spec"])
-    token_path = spec.family.startswith("hierarchical")
-    model = build_model(spec, seed=0, vocab=artifact.vocab if token_path else None)
+    model = build_model(spec, seed=0, vocab=artifact.vocab)
     model.load_state(state)
-    if token_path:
-        inputs = bench._token_inputs(windows, artifact.schema, artifact,
-                                     spec.family == "hierarchical_joint")
-    else:
-        inputs = bench._feature_inputs(windows, artifact.schema, artifact)
-    y = bench._labels(windows)
-    scores = predict_scores(model, inputs)
+    scores = predict_scores(model, encode_inputs(windows, artifact, spec.family))
+    y = window_labels(windows)
     result = {}
     if args.task == "fraud":
         p, r, s = f1_score(scores >= 0.5, y)
@@ -232,7 +223,7 @@ def _add_common_data_args(p):
     p.add_argument("--data", required=True, help="CSV data file")
     p.add_argument("--schema", required=True, help="schema JSON file")
     p.add_argument("--artifact", required=True, help="preprocessing artifact JSON")
-    p.add_argument("--task", choices=("fraud", "regression"), default="fraud")
+    p.add_argument("--task", choices=tuple(TASKS), default="fraud")
     p.add_argument("--window", type=int, default=10)
     p.add_argument("--stride", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
@@ -249,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic dataset")
     p.add_argument("--config", required=True, help="generator config JSON")
-    p.add_argument("--task", choices=("fraud", "regression"), default="fraud")
+    p.add_argument("--task", choices=tuple(TASKS), default="fraud")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 
@@ -279,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upsample", choices=("smote", "duplicate", "none"), default=None)
     p.add_argument("--smote-k", type=int, default=None, dest="smote_k")
     p.add_argument("--target-ratio", type=float, default=None, dest="target_ratio")
-    p.add_argument("--tower-mask", choices=("both", "time", "feature"),
+    p.add_argument("--tower-mask", choices=TOWER_MASKS,
                    default=None, dest="tower_mask")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)

@@ -49,6 +49,7 @@ class ModelSpec:
     dropout: float = 0.0
     head: str = "binary"
     mlm_lambda: float = 1.0  # weight of the numerical term in the joint loss
+    tower_mask: str = "both"  # twin_tower only: which towers feed the gate
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -63,13 +64,21 @@ class ModelSpec:
             raise ConfigError("MLM head requires a hierarchical family")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
+        if self.tower_mask not in TOWER_MASKS:
+            raise ConfigError(f"unknown tower mask {self.tower_mask!r}")
+        if self.tower_mask != "both" and self.family != "twin_tower":
+            raise ConfigError(f"tower mask {self.tower_mask!r} needs the twin_tower family, "
+                              f"not {self.family!r}")
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModelSpec":
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except TypeError as exc:
+            raise ConfigError(f"bad model spec: {exc}") from exc
 
 
 def expected_attention_pairs(spec: ModelSpec, batch: int) -> int:
@@ -123,27 +132,24 @@ class _Tower(Module):
 class TwinTowerModel(Module):
     """Time tower over N rows and feature tower over M channels, gated."""
 
-    def __init__(self, spec: ModelSpec, seed: int, tower_mask: str = "both"):
-        if tower_mask not in TOWER_MASKS:
-            raise ConfigError(f"unknown tower mask {tower_mask!r}")
+    def __init__(self, spec: ModelSpec, seed: int):
         rng = np.random.default_rng(seed)
         self.spec = spec
-        self.tower_mask = tower_mask
         self.counter = AttentionCounter()
         self.time_tower = _Tower(spec.n, spec.m, spec.hidden, spec.heads, spec.layers, rng)
         self.feature_tower = _Tower(spec.m, spec.n, spec.hidden, spec.heads, spec.layers, rng)
         self.gate_w1 = Tensor(np.ones(spec.hidden), requires_grad=True)
         self.gate_w2 = Tensor(np.ones(spec.hidden), requires_grad=True)
         self.head = L.TaskHead(spec.hidden, _head_width(spec.head), rng)
-        if tower_mask == "time":
+        if spec.tower_mask == "time":
             self.feature_tower.frozen = True
-        elif tower_mask == "feature":
+        elif spec.tower_mask == "feature":
             self.time_tower.frozen = True
 
     def combine(self, o1: Tensor, o2: Tensor) -> Tensor:
         """The gating channel: w1*O1 + w2*O2, with masked towers zeroed."""
-        m1 = 0.0 if self.tower_mask == "feature" else 1.0
-        m2 = 0.0 if self.tower_mask == "time" else 1.0
+        m1 = 0.0 if self.spec.tower_mask == "feature" else 1.0
+        m2 = 0.0 if self.spec.tower_mask == "time" else 1.0
         return self.gate_w1 * o1 * m1 + self.gate_w2 * o2 * m2
 
     def __call__(self, x: np.ndarray, train: bool = False, rng=None) -> Tensor:
@@ -279,20 +285,11 @@ class HierarchicalModel(Module):
         return loss
 
 
-def joint_masked_loss(model: HierarchicalModel, ids, targets, mask, raw,
-                      train=False, rng=None) -> Tensor:
-    """Joint categorical/numerical masked-reconstruction loss."""
-    if not model.joint:
-        raise ConfigError("joint_masked_loss needs a hierarchical_joint model")
-    return model.mlm_loss(ids, targets, mask, raw=raw, train=train, rng=rng)
-
-
-def build_model(spec: ModelSpec, seed: int, vocab: Vocabulary | None = None,
-                tower_mask: str = "both"):
+def build_model(spec: ModelSpec, seed: int, vocab: Vocabulary | None = None):
     if spec.family == "vanilla":
         return VanillaModel(spec, seed)
     if spec.family == "twin_tower":
-        return TwinTowerModel(spec, seed, tower_mask)
+        return TwinTowerModel(spec, seed)
     if vocab is None:
         raise ConfigError(f"family {spec.family!r} requires a vocabulary")
     return HierarchicalModel(spec, vocab, seed)

@@ -23,24 +23,22 @@ from .models import HierarchicalModel, ModelSpec, build_model
 from .nn import Adam, cross_entropy, mse
 from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint, load_checkpoint_header, save_checkpoint
-from .preprocess import MASK, N_SPECIALS, PreprocessArtifact
+from .preprocess import MASK, N_SPECIALS, PreprocessArtifact, encode_numeric, encode_tokens
 from .schema import SequenceWindow
+
+# task -> (window labelling rule, model head)
+TASKS = {"fraud": ("any_positive", "binary"), "regression": ("last_target", "regression")}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
     optimizer: str = "adam"
-    dropout: float = 0.0
     batch_size: int = 64
     epochs: int = 10
     mlm_probability: float | None = None
-    window_size: int = 10
-    stride: int = 5
     seed: int = 0
     patience: int | None = 5
-    val_fraction: float = 0.15
-    test_fraction: float = 0.15
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -70,6 +68,7 @@ class TrainHistory:
     val_loss: list[float] = field(default_factory=list)
     val_metric: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
+    best_epoch: int | None = None  # the epoch whose state the fit restored
 
     def append(self, epoch, train_loss, val_loss, val_metric, seconds):
         self.epochs.append(epoch)
@@ -114,6 +113,26 @@ def split_entities(windows: list[SequenceWindow], val_fraction: float,
     val = [w for w in windows if w.entity in val_set]
     test = [w for w in windows if w.entity in test_set]
     return train, val, test
+
+
+def encode_inputs(windows: list[SequenceWindow], artifact: PreprocessArtifact,
+                  family: str) -> tuple:
+    """The model inputs of ``family`` for the windows: ``(features,)`` for
+    vanilla and twin_tower, ``(ids, raw)`` for the hierarchical families, with
+    ``raw`` None unless the family is hierarchical_joint."""
+    schema = artifact.schema
+    if not family.startswith("hierarchical"):
+        return (np.stack([encode_numeric(w, schema, artifact.numeric).values
+                          for w in windows]),)
+    keep_raw = family == "hierarchical_joint"
+    grids = [encode_tokens(w, schema, artifact.vocab, artifact.quantizers, keep_raw)
+             for w in windows]
+    raw = np.stack([g.raw for g in grids]) if keep_raw else None
+    return np.stack([g.ids for g in grids]), raw
+
+
+def window_labels(windows: list[SequenceWindow]) -> np.ndarray:
+    return np.array([w.label for w in windows], dtype=np.float64)
 
 
 def mask_tokens(ids: np.ndarray, p: float, rng: np.random.Generator):
@@ -226,13 +245,15 @@ def _fit(model, loss_fn, n_train, eval_fn, cfg: TrainConfig):
                        time.perf_counter() - t0)
         if monitored < best_loss:
             best_loss, best_state, since_best = monitored, model.state(), 0
+            history.best_epoch = epoch
         else:
             since_best += 1
             if cfg.patience is not None and since_best >= cfg.patience:
                 break
-    if best_state is not None:
-        model.load_state(best_state)
-    return model, history, best_loss
+    if best_state is None:
+        raise DivergenceError("validation loss was never finite")
+    model.load_state(best_state)
+    return model, history
 
 
 def train_supervised(model, train_data, val_data, cfg: TrainConfig):
@@ -256,8 +277,7 @@ def train_supervised(model, train_data, val_data, cfg: TrainConfig):
             return None, None
         return validate(model, *val_data)
 
-    model, history, _ = _fit(model, loss_fn, n_train, eval_fn, cfg)
-    return model, history
+    return _fit(model, loss_fn, n_train, eval_fn, cfg)
 
 
 def pretrain_mlm(model: HierarchicalModel, ids: np.ndarray, raw: np.ndarray | None,
@@ -276,8 +296,7 @@ def pretrain_mlm(model: HierarchicalModel, ids: np.ndarray, raw: np.ndarray | No
                               raw=raw[idx] if raw is not None else None,
                               train=True, rng=drop_rng)
 
-    model, history, _ = _fit(model, loss_fn, n, lambda: (None, None), cfg)
-    return model, history
+    return _fit(model, loss_fn, n, lambda: (None, None), cfg)
 
 
 def save_pretrained(path, model: HierarchicalModel, artifact: PreprocessArtifact,
@@ -351,17 +370,15 @@ def load_transformer_preset(name: str) -> dict:
 
 
 def preset_train_config(preset: dict, **overrides) -> TrainConfig:
-    """Map a preset document onto a TrainConfig (architecture fields ignored)."""
+    """Map a preset document's optimisation fields onto a TrainConfig; its
+    architecture and windowing fields belong to ModelSpec and the experiment."""
     kwargs = dict(
         learning_rate=preset["learning_rate"],
         optimizer=preset.get("optimizer", "adam").lower(),
-        dropout=preset.get("dropout", 0.0),
         batch_size=preset["batch_size"],
         mlm_probability=preset.get("mlm_probability"),
-        window_size=preset["window_size"],
-        stride=preset.get("stride") or 1,
     )
     if preset.get("seed") is not None:
         kwargs["seed"] = preset["seed"]
     kwargs.update(overrides)
-    return TrainConfig(**kwargs)
+    return TrainConfig.from_json(kwargs)

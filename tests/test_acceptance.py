@@ -13,12 +13,7 @@ import numpy as np
 
 from tabseq.bench import run_experiment
 from tabseq.metrics import capture_rate, f1, metric_m, weighted_gini
-from tabseq.models import (
-    ModelSpec,
-    build_model,
-    expected_attention_pairs,
-    joint_masked_loss,
-)
+from tabseq.models import ModelSpec, build_model, expected_attention_pairs
 from tabseq.nn import (
     Embedding,
     Encoder,
@@ -263,7 +258,7 @@ def test_criterion_3_gradient_checks():
     masked = hids.copy()
     masked[mask] = 1
     results["joint MLM+MSE"] = grad_check(
-        lambda: joint_masked_loss(joint, masked, hids, mask, raw),
+        lambda: joint.mlm_loss(masked, hids, mask, raw=raw),
         joint.parameters(), max_coords=6)
 
     bad = {k: v for k, v in results.items() if not v < tol}
@@ -348,8 +343,8 @@ def test_criterion_5_ablation_direction():
     scores = {}
     for mask in ("both", "time", "feature"):
         spec = ModelSpec("twin_tower", 10, schema.n_features, hidden=16,
-                         heads=2, layers=1)
-        model = build_model(spec, seed=7, tower_mask=mask)
+                         heads=2, layers=1, tower_mask=mask)
+        model = build_model(spec, seed=7)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=128, epochs=4,
                           patience=None, seed=7)
         model, _ = train_supervised(model, ((tr_x,), tr_y), ((va_x,), va_y), cfg)

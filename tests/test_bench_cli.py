@@ -8,7 +8,9 @@ import pytest
 
 from tabseq.bench import (
     CSV_HEADER,
+    _arm_seed,
     ablate_towers,
+    prepare,
     run_experiment,
     sweep,
     validate_experiment_config,
@@ -17,6 +19,7 @@ from tabseq.cli import main
 from tabseq.errors import ConfigError
 from tabseq.models import ModelSpec, expected_attention_pairs
 from tabseq.nn import save_checkpoint
+from tabseq.schema import Dataset, Schema, load_csv, save_csv
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 MODULE_HELP = [sys.executable, "-c",
@@ -52,6 +55,20 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def csv_config(data_dir, arm_index, **overrides):
+    """base_config reading the pipeline's CSV, with one of its arms."""
+    cfg = base_config(**overrides)
+    cfg["data"] = {"csv": str(data_dir / "data.csv"), "schema": str(data_dir / "schema.json")}
+    cfg["arms"] = [cfg["arms"][arm_index]]
+    return cfg
+
+
+def best_history_row(path) -> dict:
+    """The first row with the least validation loss: the epoch training restored."""
+    with open(path, newline="") as fh:
+        return min(csv.DictReader(fh), key=lambda row: float(row["val_loss"]))
 
 
 class TestValidateConfig:
@@ -105,11 +122,59 @@ class TestValidateConfig:
             validate_experiment_config(base_config(task="ranking"))
 
 
+class TestArmConfig:
+    def test_arm_seeds_distinct(self):
+        seeds = {_arm_seed(base, index) for base in range(20) for index in range(20)}
+        assert len(seeds) == 400
+
+    @pytest.mark.parametrize("block, key", [("train", "dropout"), ("train", "stride"),
+                                            ("model", "widht")])
+    def test_unread_arm_key_fails_train(self, block, key, pipeline, tmp_path, capsys):
+        _, data_dir, _ = pipeline
+        cfg = csv_config(data_dir, 0)
+        cfg["arms"][0][block][key] = 0.5
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    def test_tower_mask_on_non_twin_arm_fails_train(self, pipeline, tmp_path, capsys):
+        _, data_dir, _ = pipeline
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(csv_config(data_dir, 0)))  # the vanilla arm
+        assert main(["train", "--config", str(cfg_path), "--tower-mask", "time",
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "error: tower mask 'time' needs the twin_tower family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", ["val_fraction", "test_fraction"])
+    def test_empty_partition_rejected(self, fraction, tmp_path):
+        cfg = base_config(**{fraction: 0.0})
+        with pytest.raises(ConfigError, match="empty"):
+            prepare(cfg)
+        with pytest.raises(ConfigError, match="empty"):
+            run_experiment(cfg, tmp_path / "exp")
+        with pytest.raises(ConfigError, match="empty"):
+            sweep(cfg, {"learning_rate": [1e-3]}, tmp_path / "sweep")
+
+
 @pytest.fixture(scope="module")
 def report_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("exp")
     report = run_experiment(base_config(), out)
     return out, report
+
+
+@pytest.fixture(scope="module")
+def trained_run(pipeline):
+    """``tabseq train`` with the vanilla arm on the pipeline's CSV; returns
+    the config path and the run directory."""
+    root, data_dir, _ = pipeline
+    cfg_path = root / "exp.json"
+    cfg_path.write_text(json.dumps(csv_config(data_dir, 0)))
+    out = root / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return cfg_path, out
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +237,12 @@ class TestRunExperiment:
         assert (out / "hier_pretrained.ckpt").exists()
         assert (out / "hier_pretrain_history.csv").exists()
 
+    def test_val_metric_is_the_restored_epochs(self, report_dir):
+        _, report = report_dir
+        for res in report["deterministic"]["arms"].values():
+            row = best_history_row(res["history"]["train"])
+            assert res["val_metric"] == float(row["val_metric"])
+
     def test_rerun_is_byte_identical_on_deterministic_part(self, report_dir,
                                                            tmp_path):
         out, report = report_dir
@@ -233,6 +304,12 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(self.sweep_config(), {}, tmp_path)
 
+    def test_val_metric_from_training_history(self, tmp_path):
+        report = sweep(self.sweep_config(), {"learning_rate": [1e-3, 1e-2]}, tmp_path)
+        for point in report["deterministic"]["points"]:
+            row = best_history_row(tmp_path / f"{point['arm']}_history.csv")
+            assert point["val_metric"] == float(row["val_metric"])
+
 
 class TestCli:
     def test_generate_outputs(self, pipeline):
@@ -240,43 +317,65 @@ class TestCli:
         assert (data_dir / "data.csv").exists()
         assert (data_dir / "schema.json").exists()
 
-    def test_train_and_report(self, pipeline, capsys):
-        root, data_dir, _ = pipeline
-        cfg = base_config()
-        cfg["data"] = {"csv": str(data_dir / "data.csv"),
-                       "schema": str(data_dir / "schema.json")}
-        cfg["arms"] = [cfg["arms"][0]]
-        cfg_path = root / "exp.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out = root / "run"
-        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    def test_train_and_report(self, trained_run, capsys):
+        _, out = trained_run
         assert (out / "report.json").exists()
         assert main(["report", "--report", str(out / "report.json")]) == 0
         table = capsys.readouterr().out
         assert "vanilla" in table and "F1" in table
 
-    def test_evaluate_checkpoint(self, pipeline, tmp_path):
-        root, data_dir, _ = pipeline
-        ckpt = root / "run" / "vanilla_final.ckpt"
+    def test_evaluate_checkpoint(self, pipeline, trained_run, tmp_path):
+        _, data_dir, _ = pipeline
+        _, out = trained_run
+        ckpt = out / "vanilla_final.ckpt"
         assert ckpt.exists()
         metrics_path = tmp_path / "metrics.json"
         assert main(["evaluate", "--data", str(data_dir / "data.csv"),
                      "--schema", str(data_dir / "schema.json"),
-                     "--artifact", str(root / "run" / "preprocess.json"), "--window", "5",
+                     "--artifact", str(out / "preprocess.json"), "--window", "5",
                      "--stride", "5", "--checkpoint", str(ckpt),
                      "--out", str(metrics_path)]) == 0
         metrics = json.loads(metrics_path.read_text())
         assert set(metrics) >= {"precision", "recall", "f1", "gini"}
 
-    def test_evaluate_rejects_other_vocabulary(self, pipeline, capsys):
+    def test_evaluate_rejects_other_vocabulary(self, pipeline, trained_run, capsys):
         # the pipeline's artifact is fitted on the seed-0 split, the
         # checkpoint on the experiment's own (seed-3) split
-        root, data_dir, artifact = pipeline
+        _, data_dir, artifact = pipeline
+        _, out = trained_run
         assert main(["evaluate", "--data", str(data_dir / "data.csv"),
                      "--schema", str(data_dir / "schema.json"),
                      "--artifact", str(artifact), "--window", "5", "--stride", "5",
-                     "--checkpoint", str(root / "run" / "vanilla_final.ckpt")]) == 1
+                     "--checkpoint", str(out / "vanilla_final.ckpt")]) == 1
         assert "error: checkpoint was built against a different" in capsys.readouterr().err
+
+    def test_evaluate_reproduces_ablation_arm(self, pipeline, tmp_path):
+        # the checkpoint keeps its tower mask: scoring the test split through
+        # `tabseq evaluate` gives the metrics the ablation reported
+        _, data_dir, _ = pipeline
+        cfg = csv_config(data_dir, 1)  # the twin-tower arm
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        reported = json.loads((out / "report.json").read_text())["deterministic"]["arms"]
+
+        (_, _, test_w), _ = prepare(cfg)
+        entities = {w.entity for w in test_w}
+        data = load_csv(data_dir / "data.csv", Schema.load(data_dir / "schema.json"))
+        test_csv = tmp_path / "test.csv"
+        save_csv(Dataset(data.schema, tuple(r for r in data.records if r.entity in entities)),
+                 test_csv)
+        for mask in ("time", "feature"):
+            metrics_path = tmp_path / f"{mask}.json"
+            assert main(["evaluate", "--data", str(test_csv),
+                         "--schema", str(data_dir / "schema.json"),
+                         "--artifact", str(out / "preprocess.json"), "--window", "5",
+                         "--stride", "5", "--checkpoint", str(out / f"twin_{mask}_final.ckpt"),
+                         "--out", str(metrics_path)]) == 0
+            metrics = json.loads(metrics_path.read_text())
+            arm = reported[f"twin_{mask}"]
+            assert {k: arm[k] for k in metrics} == pytest.approx(metrics, abs=1e-6)
 
     @pytest.mark.parametrize("command", ["evaluate", "finetune"])
     def test_vocabulary_checked_before_data(self, command, pipeline, tmp_path, capsys):

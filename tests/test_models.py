@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from tabseq.errors import ConfigError, ShapeError
-from tabseq.models import (
-    ModelSpec,
-    build_model,
-    expected_attention_pairs,
-    joint_masked_loss,
-)
+from tabseq.models import ModelSpec, build_model, expected_attention_pairs
 from tabseq.nn import Tensor, grad_check
 from tabseq.nn import tensor as T
 from tabseq.preprocess import N_SPECIALS, FieldTokens, Vocabulary
@@ -51,6 +46,22 @@ class TestModelSpec:
     def test_json_round_trip(self):
         spec = ModelSpec("twin_tower", 6, 4, hidden=16, heads=2, dropout=0.1)
         assert ModelSpec.from_json(spec.to_json()) == spec
+
+    def test_tower_mask_only_on_twin_tower(self):
+        assert ModelSpec("twin_tower", 4, 3, tower_mask="time").tower_mask == "time"
+        assert ModelSpec("vanilla", 4, 3).tower_mask == "both"
+        with pytest.raises(ConfigError, match="twin_tower"):
+            ModelSpec("vanilla", 4, 3, tower_mask="time")
+
+    def test_spec_without_tower_mask_loads_with_both(self):
+        doc = ModelSpec("twin_tower", 6, 4).to_json()
+        del doc["tower_mask"]  # as written before the field existed
+        assert ModelSpec.from_json(doc).tower_mask == "both"
+
+    def test_unknown_key_is_config_error(self):
+        doc = dict(ModelSpec("vanilla", 4, 3).to_json(), widht=8)
+        with pytest.raises(ConfigError, match="widht"):
+            ModelSpec.from_json(doc)
 
 
 class TestAttentionAccounting:
@@ -154,8 +165,8 @@ class TestVanilla:
 
 class TestTwinTower:
     def make(self, mask="both"):
-        spec = ModelSpec("twin_tower", 4, 3, hidden=8, heads=2, layers=1)
-        return build_model(spec, seed=0, tower_mask=mask)
+        spec = ModelSpec("twin_tower", 4, 3, hidden=8, heads=2, layers=1, tower_mask=mask)
+        return build_model(spec, seed=0)
 
     def test_gate_linearity(self):
         rng = np.random.default_rng(5)
@@ -296,7 +307,7 @@ class TestJointLoss:
         for lam in (0.0, 1.0, 2.0):
             model, _ = self.make(mlm_lambda=lam)
             model.load_state(model1.state())
-            losses[lam] = joint_masked_loss(model, masked, ids, mask, raw).item()
+            losses[lam] = model.mlm_loss(masked, ids, mask, raw=raw).item()
         mse_term = losses[2.0] - losses[1.0]
         assert mse_term > 0.0
         assert losses[0.0] == pytest.approx(losses[1.0] - mse_term, abs=1e-10)
@@ -307,20 +318,11 @@ class TestJointLoss:
         cat_mask[:, :, 1] = False
         masked = ids.copy()
         masked[cat_mask] = 1
-        with_lam = joint_masked_loss(model, masked, ids, cat_mask, raw).item()
+        with_lam = model.mlm_loss(masked, ids, cat_mask, raw=raw).item()
         model0, _ = self.make(mlm_lambda=0.0)
         model0.load_state(model.state())
-        without = joint_masked_loss(model0, masked, ids, cat_mask, raw).item()
+        without = model0.mlm_loss(masked, ids, cat_mask, raw=raw).item()
         assert with_lam == pytest.approx(without, abs=1e-12)
-
-    def test_wrong_family_rejected(self):
-        vocab = small_vocab()
-        model = build_model(ModelSpec("hierarchical", 3, 3, hidden=8, heads=2,
-                                      head="mlm"), seed=0, vocab=vocab)
-        ids = random_ids(vocab, 1, 3, np.random.default_rng(14))
-        with pytest.raises(ConfigError):
-            joint_masked_loss(model, ids, ids, np.zeros(ids.shape, bool),
-                              np.zeros(ids.shape))
 
     def test_masked_numeric_cells_use_mask_embedding(self):
         # changing the raw value of a masked numeric cell must not change
@@ -411,7 +413,7 @@ class TestEndToEndGradients:
         mask[0, 0, 0] = True
         masked = ids.copy()
         masked[mask] = 1
-        f = lambda: joint_masked_loss(model, masked, ids, mask, raw)
+        f = lambda: model.mlm_loss(masked, ids, mask, raw=raw)
         assert grad_check(f, model.parameters(), max_coords=6) < TOL
 
     def test_regression_head_loss(self):

@@ -12,6 +12,7 @@ from tabseq.training import (
     PRESET_NAMES,
     TrainConfig,
     TrainHistory,
+    encode_inputs,
     fine_tune,
     load_preset,
     mask_tokens,
@@ -22,6 +23,7 @@ from tabseq.training import (
     split_entities,
     train_supervised,
     validate,
+    window_labels,
 )
 
 
@@ -61,8 +63,17 @@ class TestTrainConfig:
 
     def test_json_round_trip(self):
         cfg = TrainConfig(learning_rate=5e-5, batch_size=8, mlm_probability=0.15,
-                          window_size=10, stride=5, seed=3)
+                          patience=None, seed=3)
         assert TrainConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("key", ["dropout", "window_size", "stride", "val_fraction",
+                                     "test_fraction", "learnig_rate"])
+    def test_unread_and_unknown_keys_rejected(self, key):
+        # dropout lives in ModelSpec, windowing and splitting in the experiment
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig.from_json({key: 0.5})
+        with pytest.raises(ConfigError, match=key):
+            preset_train_config(load_preset("fraud_tabbert"), **{key: 0.5})
 
     def test_history_csv(self, tmp_path):
         h = TrainHistory()
@@ -127,6 +138,29 @@ class TestMaskTokens:
                         np.random.default_rng(0))
 
 
+class TestEncodeInputs:
+    @pytest.mark.parametrize("family", ["hierarchical", "hierarchical_joint"])
+    def test_token_families(self, fraud_dataset, family):
+        joint = family == "hierarchical_joint"
+        art, ids, raw, y = token_fixture(fraud_dataset, joint=joint)
+        windows = make_windows(impute_missing(fraud_dataset), 5, 5)
+        got_ids, got_raw = encode_inputs(windows, art, family)
+        assert np.array_equal(got_ids, ids)
+        assert (got_raw is None) if not joint else np.array_equal(got_raw, raw)
+        assert np.array_equal(window_labels(windows), y)
+
+    @pytest.mark.parametrize("family", ["vanilla", "twin_tower"])
+    def test_feature_families(self, fraud_dataset, family):
+        from tabseq.preprocess import encode_numeric
+
+        d = impute_missing(fraud_dataset)
+        art = fit_preprocess(d, bins=6)
+        windows = make_windows(d, 5, 5)
+        (x,) = encode_inputs(windows, art, family)
+        assert np.array_equal(x, np.stack([encode_numeric(w, d.schema, art.numeric).values
+                                           for w in windows]))
+
+
 class TestTrainSupervised:
     def make_model(self, seed=0):
         return build_model(ModelSpec("vanilla", 2, 2, hidden=8, heads=2,
@@ -178,6 +212,31 @@ class TestTrainSupervised:
         # the returned parameters reproduce the best observed validation loss
         final_val, _ = validate(model, val_inputs, val_y)
         assert final_val == pytest.approx(min(hist.val_loss), abs=1e-9)
+
+    def test_best_epoch_row_is_the_restored_model(self):
+        # validation targets at 0.3x the training targets: the loss falls,
+        # then rises, so the best epoch is neither the first nor the last
+        inputs, _ = separable_data(120, seed=1)
+        val_inputs, _ = separable_data(40, seed=2)
+        y = inputs[0][:, :, 0].mean(axis=1)
+        val_y = 0.3 * val_inputs[0][:, :, 0].mean(axis=1)
+        model = build_model(ModelSpec("vanilla", 2, 2, hidden=8, heads=2, layers=1,
+                                      head="regression"), seed=1)
+        cfg = TrainConfig(learning_rate=3e-3, batch_size=32, epochs=8, patience=None, seed=1)
+        model, hist = train_supervised(model, (inputs, y), (val_inputs, val_y), cfg)
+        assert 1 < hist.best_epoch < 8
+        assert hist.best_epoch == 1 + int(np.argmin(hist.val_loss))
+        row = hist.best_epoch - 1
+        assert validate(model, val_inputs, val_y) == (hist.val_loss[row], hist.val_metric[row])
+
+    def test_never_finite_validation_loss_raises(self):
+        # no epoch is better than infinity, so there is no state to restore
+        inputs, y = separable_data(40)
+        (val_x,), val_y = separable_data(10, seed=3)
+        val_x[0, 0, 0] = np.nan
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=16, epochs=2, patience=None, seed=0)
+        with pytest.raises(DivergenceError, match="never finite"):
+            train_supervised(self.make_model(), (inputs, y), ((val_x,), val_y), cfg)
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(9)
@@ -326,11 +385,9 @@ class TestPresets:
         cfg = preset_train_config(load_preset("fraud_tabbert"))
         assert cfg.learning_rate == 5e-5
         assert cfg.batch_size == 8
-        assert cfg.window_size == 10 and cfg.stride == 5
-        assert cfg.mlm_probability == 0.15 and cfg.dropout == 0.1
+        assert cfg.mlm_probability == 0.15
 
     def test_preset_overrides(self):
         cfg = preset_train_config(load_preset("fraud_twintower"), epochs=2, seed=5)
         assert cfg.epochs == 2 and cfg.seed == 5
-        assert cfg.learning_rate == 4.35e-5 and cfg.dropout == 0.134
-        assert cfg.stride == 1 and cfg.batch_size == 256
+        assert cfg.learning_rate == 4.35e-5 and cfg.batch_size == 256
