@@ -24,9 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DegenerateLabels
-from .metrics import f1 as f1_score
-from .metrics import rank_metrics, rmse, tie_fraction
+from .errors import ConfigError
 from .models import (
     HierarchicalModel,
     ModelSpec,
@@ -41,22 +39,23 @@ from .training import (
     TASKS,
     TrainConfig,
     encode_inputs,
+    evaluate_scores,
     fine_tune,
     load_transformer_preset,
     predict_scores,
+    preset_model_spec,
     pretrain_mlm,
     preset_train_config,
-    save_pretrained,
+    save_model,
     split_entities,
     train_supervised,
     window_labels,
 )
 from .upsample import SmoteConfig, duplicate_upsample, smote_upsample
 
-CSV_HEADER = [
-    "arm", "precision", "recall", "f1", "gini", "capture_at_4",
-    "metric_m", "rmse", "attn_pairs", "seconds",
-]
+METRIC_KEYS = ("precision", "recall", "f1", "gini", "capture_at_4", "metric_m", "rmse")
+CSV_HEADER = ["arm", *METRIC_KEYS, "attn_pairs", "seconds"]
+
 
 def _arm_seed(base_seed: int, arm_index: int) -> int:
     # distinct, reproducible per-arm streams without a shared generator
@@ -122,20 +121,20 @@ def prepare(cfg: dict):
 
 
 def _arm_model_spec(arm: dict, n: int, m: int, head: str) -> ModelSpec:
-    family = arm.get("family")
-    preset = load_transformer_preset(arm["preset"]) if arm.get("preset") else None
-    if family is None and preset is not None:
-        family = preset["architecture"]
-    if family is None:
+    block = arm.get("model", {})
+    # these follow from the arm's family or preset, the windows and the task
+    for key in ("family", "n", "m", "head"):
+        if key in block:
+            raise ConfigError(f"arm {arm.get('name')!r}: model key {key!r} is set "
+                              "by the experiment, not the model block")
+    kwargs = {"tower_mask": arm["tower_mask"]} if "tower_mask" in arm else {}
+    kwargs.update(block, n=n, m=m, head=head)
+    if arm.get("family") is not None:
+        kwargs["family"] = arm["family"]
+    if arm.get("preset"):
+        return preset_model_spec(load_transformer_preset(arm["preset"]), **kwargs)
+    if "family" not in kwargs:
         raise ConfigError(f"arm {arm.get('name')!r} names neither family nor preset")
-    kwargs = dict(family=family, n=n, m=m, head=head)
-    if preset is not None:
-        kwargs["hidden"] = preset["hidden_units"]
-        kwargs["heads"] = preset["attention_heads"]
-        kwargs["dropout"] = preset["dropout"]
-    if "tower_mask" in arm:
-        kwargs["tower_mask"] = arm["tower_mask"]
-    kwargs.update(arm.get("model", {}))
     return ModelSpec.from_json(kwargs)
 
 
@@ -153,20 +152,14 @@ def _upsample_training_data(arm, inputs, y, seed):
     pos_idx = np.nonzero(y == 1.0)[0]
     neg_idx = np.nonzero(y != 1.0)[0]
     if choice == "smote":
-        from .preprocess import FeatureMatrix
-
-        minority = [FeatureMatrix(inputs[0][i]) for i in pos_idx]
         smote_cfg = SmoteConfig(
             k=arm.get("smote_k", 5),
             target_ratio=arm.get("target_ratio", 1.0),
             seed=seed,
         )
-        synthetic = smote_upsample(minority, len(neg_idx), smote_cfg)
-        if not synthetic:
-            return inputs, y
-        x = np.concatenate([inputs[0], np.stack([s.values for s in synthetic])])
-        y = np.concatenate([y, np.ones(len(synthetic))])
-        return (x,), y
+        synthetic = smote_upsample(inputs[0][pos_idx], len(neg_idx), smote_cfg)
+        x = np.concatenate([inputs[0], synthetic])
+        return (x,), np.concatenate([y, np.ones(len(synthetic))])
     # duplicate: token-path (and generic) upsampling by repetition
     extra = duplicate_upsample(list(pos_idx), len(neg_idx),
                                arm.get("target_ratio", 1.0), seed)
@@ -186,26 +179,6 @@ def _measure_attention_pairs(model, inputs) -> int:
     pairs = model.counter.count
     model.counter.reset()
     return pairs
-
-
-def _evaluate(model, inputs, y, task: str) -> dict:
-    scores = predict_scores(model, inputs)
-    out = {
-        "precision": np.nan, "recall": np.nan, "f1": np.nan,
-        "gini": np.nan, "capture_at_4": np.nan, "metric_m": np.nan, "rmse": np.nan,
-    }
-    if task == "fraud":
-        p, r, s = f1_score(scores >= 0.5, y)
-        out.update(precision=p, recall=r, f1=s)
-        try:
-            rm = rank_metrics(scores, y)
-            out.update(gini=rm.gini, capture_at_4=rm.capture_at_4, metric_m=rm.metric_m)
-        except DegenerateLabels:
-            pass
-        out["tie_warning"] = bool(tie_fraction(scores) > 0.001)
-    else:
-        out["rmse"] = rmse(scores, y)
-    return out
 
 
 def run_arm(arm: dict, arm_index: int, cfg: dict, splits, artifact: PreprocessArtifact,
@@ -238,7 +211,7 @@ def run_arm(arm: dict, arm_index: int, cfg: dict, splits, artifact: PreprocessAr
         ids, raw = train_inputs
         model, pre_hist = pretrain_mlm(model, ids, raw, pre_cfg)
         ckpt = os.path.join(out_dir, f"{name}_pretrained.ckpt")
-        save_pretrained(ckpt, model, artifact, seed)
+        save_model(ckpt, model, artifact, seed)
         pre_path = os.path.join(out_dir, f"{name}_pretrain_history.csv")
         pre_hist.to_csv(pre_path)
         history_paths["pretrain"] = pre_path
@@ -252,13 +225,11 @@ def run_arm(arm: dict, arm_index: int, cfg: dict, splits, artifact: PreprocessAr
     hist_path = os.path.join(out_dir, f"{name}_history.csv")
     hist.to_csv(hist_path)
     history_paths["train"] = hist_path
-    from .nn import save_checkpoint
-
     final_ckpt = os.path.join(out_dir, f"{name}_final.ckpt")
-    save_checkpoint(final_ckpt, model.state(), spec.to_json(),
-                    vocab_hash=artifact.content_hash(), seed=seed)
+    save_model(final_ckpt, model, artifact, seed)
 
-    result = _evaluate(model, test_inputs, test_y, task)
+    result = dict.fromkeys(METRIC_KEYS, np.nan)
+    result.update(evaluate_scores(predict_scores(model, test_inputs), test_y, spec.head))
     result["val_metric"] = hist.val_metric[hist.best_epoch - 1]  # the restored model's
     result["attn_pairs"] = _measure_attention_pairs(model, test_inputs)
     result["attn_pairs_closed_form"] = expected_attention_pairs(spec, 1)
@@ -323,9 +294,7 @@ def write_report(report: dict, out_dir) -> None:
         for name, res in report["deterministic"]["arms"].items():
             writer.writerow([
                 name,
-                *(repr(float(res[k])) for k in
-                  ("precision", "recall", "f1", "gini", "capture_at_4",
-                   "metric_m", "rmse")),
+                *(repr(float(res[k])) for k in METRIC_KEYS),
                 res["attn_pairs"],
                 f"{timing.get(name, float('nan')):.3f}",
             ])
@@ -401,9 +370,7 @@ def sweep(cfg: dict, grid: dict, out_dir, budget: int | None = None) -> dict:
                         "val_metric": r["val_metric"]} for r in results],
             "best": {"point": best["point"], "arm": best["arm"],
                      "val_metric": best["val_metric"],
-                     "test_metrics": {k: best["test"][k] for k in
-                                      ("precision", "recall", "f1", "gini",
-                                       "capture_at_4", "metric_m", "rmse")}},
+                     "test_metrics": {k: best["test"][k] for k in METRIC_KEYS}},
         },
         "timing": {"created": time.strftime("%Y-%m-%dT%H:%M:%S")},
     }

@@ -16,10 +16,8 @@ import sys
 import numpy as np
 
 from . import bench
-from .errors import TabseqError
-from .metrics import f1 as f1_score
-from .metrics import rank_metrics, rmse
-from .models import TOWER_MASKS, ModelSpec, build_model
+from .errors import ConfigError, TabseqError
+from .models import TOWER_MASKS, build_model
 from .preprocess import PreprocessArtifact, fit_preprocess
 from .schema import Dataset, Schema, impute_missing, load_csv, make_windows, save_csv
 from .synthgen import GenConfig, generate_fraud_dataset, generate_regression_dataset
@@ -27,16 +25,17 @@ from .training import (
     TASKS,
     TrainConfig,
     encode_inputs,
-    fine_tune,
-    load_matching_checkpoint,
+    evaluate_scores,
     load_transformer_preset,
-    matching_checkpoint_header,
     predict_scores,
+    preset_model_spec,
     preset_train_config,
     pretrain_mlm,
-    save_pretrained,
+    restore_model,
+    save_model,
     split_entities,
     split_entity_names,
+    train_supervised,
     window_labels,
 )
 
@@ -85,18 +84,16 @@ def cmd_pretrain(args) -> int:
     args.window = args.window or preset["window_size"]
     args.stride = args.stride or preset.get("stride") or 1
     artifact = PreprocessArtifact.load(args.artifact)
-    family = preset["architecture"]
-    ids, raw = encode_inputs(_windows(args, "none"), artifact, family)
-    spec = ModelSpec(family=family, n=args.window, m=artifact.schema.n_features,
-                     hidden=args.hidden or preset["hidden_units"],
-                     heads=args.heads or preset["attention_heads"],
-                     dropout=preset["dropout"], head="mlm")
+    sizes = {k: v for k, v in (("hidden", args.hidden), ("heads", args.heads)) if v}
+    spec = preset_model_spec(preset, n=args.window, m=artifact.schema.n_features,
+                             head="mlm", **sizes)
+    ids, raw = encode_inputs(_windows(args, "none"), artifact, spec.family)
     cfg = preset_train_config(preset, seed=args.seed, epochs=args.epochs, patience=None)
     model = build_model(spec, seed=args.seed, vocab=artifact.vocab)
     model, history = pretrain_mlm(model, ids, raw, cfg)
-    save_pretrained(args.out, model, artifact, args.seed)
+    save_model(args.out, model, artifact, args.seed)
     history.to_csv(args.out + ".history.csv")
-    print(f"pretrained {family} on {len(ids)} windows; "
+    print(f"pretrained {spec.family} on {len(ids)} windows; "
           f"final MLM loss {history.train_loss[-1]:.4f}")
     return 0
 
@@ -123,19 +120,16 @@ def cmd_train(args) -> int:
 
 def cmd_finetune(args) -> int:
     artifact = PreprocessArtifact.load(args.artifact)
-    family = matching_checkpoint_header(args.checkpoint, artifact)["model_spec"]["family"]
+    model = restore_model(args.checkpoint, artifact, head=TASKS[args.task][1], seed=args.seed)
+    family = model.spec.family
     train_w, val_w, _ = split_entities(_windows(args), args.val_fraction,
                                        args.test_fraction, args.seed)
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed)
-    model, history = fine_tune(
-        args.checkpoint, (encode_inputs(train_w, artifact, family), window_labels(train_w)),
-        (encode_inputs(val_w, artifact, family), window_labels(val_w)), cfg, artifact,
-        head=TASKS[args.task][1])
-    from .nn import save_checkpoint
-
-    save_checkpoint(args.out, model.state(), model.spec.to_json(),
-                    vocab_hash=artifact.content_hash(), seed=args.seed)
+    model, history = train_supervised(
+        model, (encode_inputs(train_w, artifact, family), window_labels(train_w)),
+        (encode_inputs(val_w, artifact, family), window_labels(val_w)), cfg)
+    save_model(args.out, model, artifact, args.seed)
     history.to_csv(args.out + ".history.csv")
     print(f"fine-tuned on {len(train_w)} windows; best val loss "
           f"{np.nanmin(history.val_loss):.4f}")
@@ -144,24 +138,23 @@ def cmd_finetune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     artifact = PreprocessArtifact.load(args.artifact)
-    header, state = load_matching_checkpoint(args.checkpoint, artifact)
+    model = restore_model(args.checkpoint, artifact)
+    head = TASKS[args.task][1]
+    if model.spec.head != head:
+        raise ConfigError(f"checkpoint has a {model.spec.head!r} head; "
+                          f"--task {args.task} needs {head!r}")
     windows = _windows(args)
-    spec = ModelSpec.from_json(header["model_spec"])
-    model = build_model(spec, seed=0, vocab=artifact.vocab)
-    model.load_state(state)
-    scores = predict_scores(model, encode_inputs(windows, artifact, spec.family))
-    y = window_labels(windows)
-    result = {}
-    if args.task == "fraud":
-        p, r, s = f1_score(scores >= 0.5, y)
-        rm = rank_metrics(scores, y)
-        result = {"precision": p, "recall": r, "f1": s, "gini": rm.gini,
-                  "capture_at_4": rm.capture_at_4, "metric_m": rm.metric_m}
-        print(f"precision {p:.3f}  recall {r:.3f}  F1 {s:.3f}")
-        print(f"Gini {100 * rm.gini:.2f}  capture@4% {100 * rm.capture_at_4:.2f}  "
-              f"M {100 * rm.metric_m:.2f}")
+    scores = predict_scores(model, encode_inputs(windows, artifact, model.spec.family))
+    result = evaluate_scores(scores, window_labels(windows), head)
+    if result.pop("tie_warning", False):
+        print("warning: >0.1% of scores are tied; rank metrics depend on stable input order",
+              file=sys.stderr)
+    if head == "binary":
+        print(f"precision {result['precision']:.3f}  recall {result['recall']:.3f}  "
+              f"F1 {result['f1']:.3f}")
+        print(f"Gini {100 * result['gini']:.2f}  capture@4% {100 * result['capture_at_4']:.2f}  "
+              f"M {100 * result['metric_m']:.2f}")
     else:
-        result = {"rmse": rmse(scores, y)}
         print(f"RMSE {result['rmse']:.4f}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -41,27 +41,17 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(params[n], dtype="<f4").tobytes())
 
 
-def _read_header(fh) -> dict:
+def load_checkpoint(path):
+    """Returns (header dict, params dict of float64 arrays)."""
+    with open(path, "rb") as fh:
+        header_line = fh.readline()
+        blob = fh.read()
     try:
-        header = json.loads(fh.readline())
+        header = json.loads(header_line)
     except json.JSONDecodeError as exc:
         raise RangeError(f"not a checkpoint file: {exc}") from exc
     if header.get("format") != FORMAT_TAG or header.get("version") != VERSION:
         raise RangeError("unsupported checkpoint format or version")
-    return header
-
-
-def load_checkpoint_header(path) -> dict:
-    """The header dict alone; the parameter data is not read."""
-    with open(path, "rb") as fh:
-        return _read_header(fh)
-
-
-def load_checkpoint(path):
-    """Returns (header dict, params dict of float64 arrays)."""
-    with open(path, "rb") as fh:
-        header = _read_header(fh)
-        blob = fh.read()
     params = {}
     offset = 0
     for entry in header["tensors"]:

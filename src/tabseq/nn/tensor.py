@@ -75,9 +75,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self, grad=None) -> None:
         if grad is None:
             if self.data.size != 1:
@@ -221,12 +218,6 @@ def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
     return Tensor(out, _parents=(a,), _backward_fn=lambda g: (g * (1.0 - out * out),))
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-    return Tensor(a.data * mask, _parents=(a,), _backward_fn=lambda g: (g * mask,))
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

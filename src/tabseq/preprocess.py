@@ -268,11 +268,6 @@ def encode_tokens(
     return TokenGrid(ids, np.zeros((n, m), dtype=bool), raw)
 
 
-def decode_tokens(g: TokenGrid, vocab: Vocabulary) -> list[list[tuple]]:
-    """Per-cell inverse lookup; round-trips non-special, non-UNK encodings."""
-    return [[vocab.decode_token(int(t)) for t in row] for row in g.ids]
-
-
 @dataclass(frozen=True)
 class NumericEncoder:
     """Per-field statistics for the direct numeric encoding.

@@ -162,18 +162,6 @@ class Dataset:
             groups.setdefault(rec.entity, []).append(rec)
         return groups
 
-    def missing_rates(self) -> dict[str, float]:
-        """Fraction of missing cells per field, over all records."""
-        if not self.records:
-            return {f.name: 0.0 for f in self.schema.fields}
-        counts = [0] * len(self.schema.fields)
-        for rec in self.records:
-            for i, v in enumerate(rec.values):
-                if v is None:
-                    counts[i] += 1
-        n = len(self.records)
-        return {f.name: counts[i] / n for i, f in enumerate(self.schema.fields)}
-
 
 @dataclass(frozen=True)
 class SequenceWindow:

@@ -17,12 +17,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, VocabularyMismatch
-from .metrics import f1, rmse
+from .errors import ConfigError, DegenerateLabels, DivergenceError, VocabularyMismatch
+from .metrics import f1, rank_metrics, rmse, tie_fraction
 from .models import HierarchicalModel, ModelSpec, build_model
 from .nn import Adam, cross_entropy, mse
 from .nn import tensor as T
-from .nn.checkpoint import load_checkpoint, load_checkpoint_header, save_checkpoint
+from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .preprocess import MASK, N_SPECIALS, PreprocessArtifact, encode_numeric, encode_tokens
 from .schema import SequenceWindow
 
@@ -299,45 +299,64 @@ def pretrain_mlm(model: HierarchicalModel, ids: np.ndarray, raw: np.ndarray | No
     return _fit(model, loss_fn, n, lambda: (None, None), cfg)
 
 
-def save_pretrained(path, model: HierarchicalModel, artifact: PreprocessArtifact,
-                    seed: int) -> None:
+def save_model(path, model, artifact: PreprocessArtifact, seed: int) -> None:
+    """Write ``model``'s parameters and spec, tagged with ``artifact``'s
+    vocabulary hash and the run seed."""
     save_checkpoint(path, model.state(), model.spec.to_json(),
                     vocab_hash=artifact.content_hash(), seed=seed)
 
 
-def _check_vocabulary(header: dict, artifact: PreprocessArtifact) -> None:
+# perfbench/workloads.py imports this name; the benchmark moves to save_model
+# in its own change
+save_pretrained = save_model
+
+
+def restore_model(path, artifact: PreprocessArtifact, head: str | None = None,
+                  seed: int = 0):
+    """Rebuild the model saved at ``path`` against ``artifact``'s vocabulary.
+
+    With ``head``, the saved encoder gets a fresh ``head`` task head,
+    initialised from ``seed``; every other parameter must be in the checkpoint
+    with its model shape.
+    """
+    header, state = load_checkpoint(path)
     if header["vocab_hash"] != artifact.content_hash():
         raise VocabularyMismatch(
             "checkpoint was built against a different preprocessing artifact"
         )
-
-
-def matching_checkpoint_header(path, artifact: PreprocessArtifact) -> dict:
-    """The header of a checkpoint built against ``artifact``'s vocabulary,
-    read without its parameter data."""
-    header = load_checkpoint_header(path)
-    _check_vocabulary(header, artifact)
-    return header
-
-
-def load_matching_checkpoint(path, artifact: PreprocessArtifact):
-    """Load a checkpoint (header, state) built against ``artifact``'s vocabulary."""
-    header, state = load_checkpoint(path)
-    _check_vocabulary(header, artifact)
-    return header, state
+    spec = ModelSpec.from_json(header["model_spec"])
+    if head is not None:
+        spec = replace(spec, head=head)
+    model = build_model(spec, seed=seed, vocab=artifact.vocab)
+    if head is not None:
+        state.update((k, t.data) for k, t in model.named_parameters().items()
+                     if k.startswith("task_head."))
+    model.load_state(state)
+    return model
 
 
 def fine_tune(checkpoint_path, train_data, val_data, cfg: TrainConfig,
               artifact: PreprocessArtifact, head: str = "binary"):
     """Attach a fresh task head to a pretrained encoder and train end to end."""
-    header, state = load_matching_checkpoint(checkpoint_path, artifact)
-    spec = replace(ModelSpec.from_json(header["model_spec"]), head=head)
-    model = build_model(spec, seed=cfg.seed, vocab=artifact.vocab)
-    encoder_state = {k: v for k, v in state.items() if not k.startswith("task_head.")}
-    for name, tensor in model.named_parameters().items():
-        if name in encoder_state:
-            tensor.data = np.asarray(encoder_state[name], dtype=tensor.data.dtype).copy()
+    model = restore_model(checkpoint_path, artifact, head=head, seed=cfg.seed)
     return train_supervised(model, train_data, val_data, cfg)
+
+
+def evaluate_scores(scores: np.ndarray, y: np.ndarray, head: str) -> dict:
+    """Test metrics of a model's scores: precision, recall and F1 at 0.5, the
+    rank metrics (NaN when ``y`` holds one class) and ``tie_warning`` for a
+    binary head; RMSE for a regressor."""
+    if head != "binary":
+        return {"rmse": rmse(scores, y)}
+    p, r, s = f1(scores >= 0.5, y)
+    out = {"precision": p, "recall": r, "f1": s}
+    try:
+        rm = rank_metrics(scores, y)
+        out.update(gini=rm.gini, capture_at_4=rm.capture_at_4, metric_m=rm.metric_m)
+    except DegenerateLabels:
+        out.update(gini=np.nan, capture_at_4=np.nan, metric_m=np.nan)
+    out["tie_warning"] = bool(tie_fraction(scores) > 0.001)
+    return out
 
 
 # -- shipped presets --------------------------------------------------------
@@ -382,3 +401,16 @@ def preset_train_config(preset: dict, **overrides) -> TrainConfig:
         kwargs["seed"] = preset["seed"]
     kwargs.update(overrides)
     return TrainConfig.from_json(kwargs)
+
+
+def preset_model_spec(preset: dict, **overrides) -> ModelSpec:
+    """Map a preset document's architecture fields onto a ModelSpec; the
+    window shape and the head come from the data and the task."""
+    kwargs = dict(
+        family=preset["architecture"],
+        hidden=preset["hidden_units"],
+        heads=preset["attention_heads"],
+        dropout=preset["dropout"],
+    )
+    kwargs.update(overrides)
+    return ModelSpec.from_json(kwargs)

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, TooFewSamples
-from .preprocess import FeatureMatrix
+from .errors import ConfigError, TooFewSamples
 
 
 @dataclass(frozen=True)
@@ -35,40 +34,30 @@ def k_nearest_neighbors(flat: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
-def smote_upsample(
-    minority: list[FeatureMatrix], majority_count: int, cfg: SmoteConfig
-) -> list[FeatureMatrix]:
+def smote_upsample(minority: np.ndarray, majority_count: int, cfg: SmoteConfig) -> np.ndarray:
     """Synthesize minority windows until minority/majority hits target_ratio.
 
-    Each synthetic sample is x + u * (x_nn - x) with u uniform in [0, 1],
-    x a seeded-random minority window and x_nn one of its k nearest
-    neighbors. Returns only the synthetic windows.
+    ``minority`` stacks the minority windows along its first axis. Each
+    synthetic sample is x + u * (x_nn - x) with u uniform in [0, 1], x a
+    seeded-random minority window and x_nn one of its k nearest neighbors.
+    Returns only the synthetic windows, stacked the same way.
     """
     if len(minority) <= cfg.k:
         raise TooFewSamples(
             f"SMOTE needs more than k={cfg.k} minority samples, got {len(minority)}"
         )
-    shapes = {fm.values.shape for fm in minority}
-    if len(shapes) != 1:
-        raise ShapeError(f"minority windows have mixed shapes: {shapes}")
-    shape = shapes.pop()
-
     wanted = int(round(cfg.target_ratio * majority_count)) - len(minority)
     if wanted <= 0:
-        return []
-
-    flat = np.stack([fm.values.reshape(-1) for fm in minority])
+        return np.empty((0,) + minority.shape[1:])
+    flat = minority.reshape(len(minority), -1)
     neighbors = k_nearest_neighbors(flat, cfg.k)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
     base = rng.integers(0, len(minority), size=wanted)
     pick = rng.integers(0, cfg.k, size=wanted)
     u = rng.random(wanted)
-    out = []
-    for i in range(wanted):
-        x = flat[base[i]]
-        x_nn = flat[neighbors[base[i], pick[i]]]
-        out.append(FeatureMatrix((x + u[i] * (x_nn - x)).reshape(shape)))
-    return out
+    x = flat[base]
+    x_nn = flat[neighbors[base, pick]]
+    return (x + u[:, None] * (x_nn - x)).reshape((wanted,) + minority.shape[1:])
 
 
 def duplicate_upsample(minority: list, majority_count: int, target_ratio: float, seed: int) -> list:

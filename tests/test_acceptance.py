@@ -28,7 +28,6 @@ from tabseq.nn import (
 from tabseq.nn import tensor as T
 from tabseq.preprocess import (
     N_SPECIALS,
-    FeatureMatrix,
     FieldTokens,
     Vocabulary,
     encode_numeric,
@@ -43,7 +42,7 @@ from tabseq.training import (
     load_preset,
     predict_scores,
     pretrain_mlm,
-    save_pretrained,
+    save_model,
     split_entities,
     train_supervised,
 )
@@ -374,10 +373,9 @@ def test_criterion_6_upsampling_direction():
     for use_smote in (False, True):
         x, y = tr_x, tr_y
         if use_smote:
-            pos = [FeatureMatrix(x[i]) for i in np.nonzero(y == 1.0)[0]]
-            syn = smote_upsample(pos, int((y != 1.0).sum()),
+            syn = smote_upsample(x[y == 1.0], int((y != 1.0).sum()),
                                  SmoteConfig(k=5, seed=202))
-            x = np.concatenate([x, np.stack([s.values for s in syn])])
+            x = np.concatenate([x, syn])
             y = np.concatenate([y, np.ones(len(syn))])
         spec = ModelSpec("twin_tower", 10, schema.n_features, hidden=16,
                          heads=2, layers=1)
@@ -415,7 +413,7 @@ def test_criterion_7_pretraining(tmp_path):
     pre, hist = pretrain_mlm(pre, tr_ids, None, pre_cfg)
     loss_decreases = hist.train_loss[2] < hist.train_loss[0]
     ckpt = tmp_path / "pretrained.ckpt"
-    save_pretrained(ckpt, pre, art, 0)
+    save_model(ckpt, pre, art, 0)
 
     def val_f1(model):
         return f1(predict_scores(model, (va_ids, None)) >= 0.5, va_y)[2]

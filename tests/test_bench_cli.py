@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,23 @@ from tabseq.cli import main
 from tabseq.errors import ConfigError
 from tabseq.models import ModelSpec, expected_attention_pairs
 from tabseq.nn import save_checkpoint
-from tabseq.schema import Dataset, Schema, load_csv, save_csv
+from tabseq.preprocess import PreprocessArtifact
+from tabseq.schema import (
+    Dataset,
+    Record,
+    Schema,
+    impute_missing,
+    load_csv,
+    make_windows,
+    save_csv,
+)
+from tabseq.training import (
+    encode_inputs,
+    evaluate_scores,
+    predict_scores,
+    restore_model,
+    window_labels,
+)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 MODULE_HELP = [sys.executable, "-c",
@@ -138,6 +155,18 @@ class TestArmConfig:
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("key, value", [("family", "twin_tower"), ("n", 5), ("m", 5),
+                                            ("head", "regression")])
+    def test_derived_model_key_fails_train(self, key, value, pipeline, tmp_path, capsys):
+        # the window shape, the head and the family are not the model block's to set
+        _, data_dir, _ = pipeline
+        cfg = csv_config(data_dir, 0)
+        cfg["arms"][0]["model"][key] = value
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert f"error: arm 'vanilla': model key {key!r}" in capsys.readouterr().err
 
     def test_tower_mask_on_non_twin_arm_fails_train(self, pipeline, tmp_path, capsys):
         _, data_dir, _ = pipeline
@@ -337,6 +366,55 @@ class TestCli:
                      "--out", str(metrics_path)]) == 0
         metrics = json.loads(metrics_path.read_text())
         assert set(metrics) >= {"precision", "recall", "f1", "gini"}
+
+    def evaluate_args(self, data_csv, data_dir, out, *extra):
+        return ["evaluate", "--data", str(data_csv), "--schema", str(data_dir / "schema.json"),
+                "--artifact", str(out / "preprocess.json"), "--window", "5", "--stride", "5",
+                "--checkpoint", str(out / "vanilla_final.ckpt"), *extra]
+
+    def test_evaluate_matches_restored_model(self, pipeline, trained_run, tmp_path):
+        # `tabseq evaluate` reports the metrics of restore_model's scores
+        _, data_dir, _ = pipeline
+        _, out = trained_run
+        metrics_path = tmp_path / "metrics.json"
+        assert main(self.evaluate_args(data_dir / "data.csv", data_dir, out,
+                                       "--out", str(metrics_path))) == 0
+        artifact = PreprocessArtifact.load(out / "preprocess.json")
+        model = restore_model(out / "vanilla_final.ckpt", artifact)
+        data = impute_missing(load_csv(data_dir / "data.csv",
+                                       Schema.load(data_dir / "schema.json")))
+        windows = make_windows(data, 5, 5, "any_positive")
+        scores = predict_scores(model, encode_inputs(windows, artifact, model.spec.family))
+        expected = evaluate_scores(scores, window_labels(windows), "binary")
+        del expected["tie_warning"]
+        assert json.loads(metrics_path.read_text()) == expected
+
+    def test_evaluate_all_negative_labels(self, pipeline, trained_run, tmp_path):
+        # one class in the held-out data: F1 is defined, the rank metrics are NaN
+        _, data_dir, _ = pipeline
+        _, out = trained_run
+        data = load_csv(data_dir / "data.csv", Schema.load(data_dir / "schema.json"))
+        label = data.schema.index_of(data.schema.label_key)
+        negative = tuple(Record(r.values[:label] + (0.0,) + r.values[label + 1:],
+                                r.entity, r.time_index) for r in data.records)
+        negative_csv = tmp_path / "negative.csv"
+        save_csv(Dataset(data.schema, negative), negative_csv)
+        metrics_path = tmp_path / "metrics.json"
+        assert main(self.evaluate_args(negative_csv, data_dir, out,
+                                       "--out", str(metrics_path))) == 0
+        metrics = json.loads(metrics_path.read_text())
+        assert set(metrics) == {"precision", "recall", "f1", "gini", "capture_at_4",
+                                "metric_m"}
+        assert metrics["f1"] == 0.0
+        assert all(math.isnan(metrics[k]) for k in ("gini", "capture_at_4", "metric_m"))
+
+    def test_evaluate_rejects_task_of_other_head(self, pipeline, trained_run, capsys):
+        _, data_dir, _ = pipeline
+        _, out = trained_run
+        assert main(self.evaluate_args(data_dir / "data.csv", data_dir, out,
+                                       "--task", "regression")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'binary'" in err and "'regression'" in err
 
     def test_evaluate_rejects_other_vocabulary(self, pipeline, trained_run, capsys):
         # the pipeline's artifact is fitted on the seed-0 split, the

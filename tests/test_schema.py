@@ -69,17 +69,6 @@ class TestDataset:
         with pytest.raises(SchemaMismatch):
             Dataset(s, (Record(("e1", 0.0, 0.0), "e1", 0),))
 
-    def test_missing_rates(self):
-        d = make_dataset([
-            ("e1", 0, 0, None, "A"),
-            ("e1", 1, 0, 2.0, None),
-            ("e1", 2, 0, 3.0, "B"),
-        ])
-        rates = d.missing_rates()
-        assert rates["amount"] == pytest.approx(1 / 3)
-        assert rates["channel"] == pytest.approx(1 / 3)
-        assert rates["label"] == 0.0
-
 
 class TestLoadCsv:
     def test_basic_parse_sorted(self, tmp_path):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tabseq.errors import ConfigError, DivergenceError, VocabularyMismatch
+from tabseq.errors import ConfigError, DivergenceError, ShapeError, VocabularyMismatch
 from tabseq.metrics import f1, rmse
 from tabseq.models import ModelSpec, build_model
-from tabseq.nn import cross_entropy, mse
+from tabseq.nn import cross_entropy, load_checkpoint, mse, save_checkpoint
 from tabseq.nn import tensor as T
 from tabseq.preprocess import MASK, N_SPECIALS, fit_preprocess
 from tabseq.schema import impute_missing, make_windows
@@ -19,7 +19,7 @@ from tabseq.training import (
     predict_scores,
     preset_train_config,
     pretrain_mlm,
-    save_pretrained,
+    save_model,
     split_entities,
     train_supervised,
     validate,
@@ -317,7 +317,7 @@ class TestPretrainFineTune:
                           mlm_probability=0.15, patience=None, seed=0)
         model, _ = pretrain_mlm(model, ids, None, cfg)
         ckpt = tmp_path / "pre.ckpt"
-        save_pretrained(ckpt, model, art, seed=0)
+        save_model(ckpt, model, art, seed=0)
 
         ft_cfg = TrainConfig(learning_rate=1e-3, batch_size=64, epochs=1, seed=0)
         tuned, hist = fine_tune(ckpt, ((ids, None), y), None, ft_cfg, art)
@@ -332,10 +332,28 @@ class TestPretrainFineTune:
                          heads=2, layers=1, head="mlm")
         model = build_model(spec, seed=0, vocab=art.vocab)
         ckpt = tmp_path / "pre.ckpt"
-        save_pretrained(ckpt, model, art, seed=0)
+        save_model(ckpt, model, art, seed=0)
         other = fit_preprocess(impute_missing(fraud_dataset), bins=3)
         with pytest.raises(VocabularyMismatch):
             fine_tune(ckpt, ((ids, None), y), None, TrainConfig(epochs=1), other)
+
+
+    @pytest.mark.parametrize("fault", ["missing", "reshaped"])
+    def test_fine_tune_checks_encoder_state(self, fault, tmp_path, fraud_dataset):
+        # every encoder parameter must come from the checkpoint, with its shape
+        art, ids, _, y = token_fixture(fraud_dataset)
+        spec = ModelSpec("hierarchical", ids.shape[1], ids.shape[2], hidden=8,
+                         heads=2, layers=1, head="mlm")
+        ckpt = tmp_path / "pre.ckpt"
+        save_model(ckpt, build_model(spec, seed=0, vocab=art.vocab), art, seed=0)
+        header, state = load_checkpoint(ckpt)
+        if fault == "missing":
+            del state["field_pos"]
+        else:
+            state["field_pos"] = state["field_pos"].T
+        save_checkpoint(ckpt, state, header["model_spec"], vocab_hash=header["vocab_hash"])
+        with pytest.raises(ShapeError, match="field_pos"):
+            fine_tune(ckpt, ((ids, None), y), None, TrainConfig(epochs=1), art)
 
 
 class TestPresets:

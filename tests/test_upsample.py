@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from tabseq.errors import ConfigError, ShapeError, TooFewSamples
-from tabseq.preprocess import FeatureMatrix
+from tabseq.errors import ConfigError, TooFewSamples
 from tabseq.upsample import (
     SmoteConfig,
     duplicate_upsample,
@@ -11,13 +10,8 @@ from tabseq.upsample import (
 )
 
 
-def windows_from(arr):
-    return [FeatureMatrix(a) for a in arr]
-
-
 def random_windows(n, shape=(4, 3), seed=0):
-    rng = np.random.default_rng(seed)
-    return windows_from(rng.standard_normal((n,) + shape))
+    return np.random.default_rng(seed).standard_normal((n,) + shape)
 
 
 class TestConfig:
@@ -53,12 +47,11 @@ class TestSmote:
     def test_interpolation_formula_endpoints(self):
         # two identical clusters force known neighbor geometry
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.1, 0.1], [0.9, 0.9]])
-        minority = windows_from(pts.reshape(4, 1, 2))
-        out = smote_upsample(minority, 40, SmoteConfig(k=1, seed=0))
+        out = smote_upsample(pts.reshape(4, 1, 2), 40, SmoteConfig(k=1, seed=0))
         flat = pts
         nn = k_nearest_neighbors(flat, 1)
-        for fm in out:
-            s = fm.values.reshape(-1)
+        for window in out:
+            s = window.reshape(-1)
             on_segment = False
             for i in range(4):
                 x, x_nn = flat[i], flat[nn[i, 0]]
@@ -72,10 +65,10 @@ class TestSmote:
     def test_synthetic_on_true_neighbor_segments(self):
         minority = random_windows(25, seed=3)
         out = smote_upsample(minority, 100, SmoteConfig(k=5, seed=3))
-        flat = np.stack([fm.values.reshape(-1) for fm in minority])
+        flat = minority.reshape(len(minority), -1)
         nn = k_nearest_neighbors(flat, 5)
-        for fm in out:
-            s = fm.values.reshape(-1)
+        for window in out:
+            s = window.reshape(-1)
             found = False
             for i in range(len(flat)):
                 for j in nn[i]:
@@ -101,23 +94,33 @@ class TestSmote:
 
     def test_already_balanced_returns_nothing(self):
         minority = random_windows(50, seed=5)
-        assert smote_upsample(minority, 40, SmoteConfig(k=5, seed=5)) == []
+        assert smote_upsample(minority, 40, SmoteConfig(k=5, seed=5)).shape == (0, 4, 3)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             smote_upsample(random_windows(5, seed=6), 100, SmoteConfig(k=5))
 
-    def test_mixed_shapes_rejected(self):
-        minority = random_windows(10, seed=7) + [FeatureMatrix(np.zeros((2, 2)))]
-        with pytest.raises(ShapeError):
-            smote_upsample(minority, 100, SmoteConfig(k=3))
-
     def test_deterministic(self):
         minority = random_windows(15, seed=8)
         a = smote_upsample(minority, 60, SmoteConfig(k=4, seed=8))
         b = smote_upsample(minority, 60, SmoteConfig(k=4, seed=8))
-        assert all((x.values == y.values).all() for x, y in zip(a, b))
-        assert len(a) == len(b)
+        assert np.array_equal(a, b)
+
+    def test_matches_recorded_output(self):
+        # synthetic rows of this input, recorded from the per-window
+        # implementation that took and returned lists of FeatureMatrix
+        minority = np.random.default_rng(11).standard_normal((8, 2, 2))
+        recorded = np.array([
+            [[-1.049775110970279, -0.6602266212113843],
+             [0.08903119518902558, -0.5830133942736028]],
+            [[-1.6765803465854965, -0.32941694019768514],
+             [0.3099521124312432, -0.6462528747269831]],
+            [[-0.6268028318794803, -0.3721141155700328],
+             [0.6598904010341583, -0.10480953238723614]],
+            [[-0.5396737215075705, -0.4132551522659476],
+             [0.6360001429668567, -0.09189381992881906]],
+        ])
+        assert np.array_equal(smote_upsample(minority, 12, SmoteConfig(k=3, seed=5)), recorded)
 
 
 class TestDuplicate:
