@@ -19,19 +19,14 @@ import json
 import os
 import platform
 import time
-from dataclasses import replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
+from .config import JsonConfig
 from .errors import ConfigError
-from .models import (
-    HierarchicalModel,
-    ModelSpec,
-    TOWER_MASKS,
-    build_model,
-    expected_attention_pairs,
-)
+from .models import ModelSpec, TOWER_MASKS, build_model, expected_attention_pairs
 from .preprocess import PreprocessArtifact, fit_preprocess
 from .schema import Dataset, Schema, impute_missing, load_csv, make_windows
 from .synthgen import GenConfig, generate_fraud_dataset, generate_regression_dataset
@@ -41,6 +36,7 @@ from .training import (
     encode_inputs,
     evaluate_scores,
     fine_tune,
+    index_inputs,
     load_transformer_preset,
     predict_scores,
     preset_model_spec,
@@ -51,10 +47,110 @@ from .training import (
     train_supervised,
     window_labels,
 )
-from .upsample import SmoteConfig, duplicate_upsample, smote_upsample
+from .upsample import UPSAMPLE_METHODS, SmoteConfig, duplicate_upsample, smote_upsample
 
 METRIC_KEYS = ("precision", "recall", "f1", "gini", "capture_at_4", "metric_m", "rmse")
 CSV_HEADER = ["arm", *METRIC_KEYS, "attn_pairs", "seconds"]
+
+
+@dataclass(frozen=True)
+class DataConfig(JsonConfig):
+    generator: GenConfig | None = None
+    csv: str | None = None  # a CSV source takes its schema file too
+    schema: str | None = None
+
+    def __post_init__(self):
+        if (self.generator is None) == (self.csv is None) or \
+                (self.csv is None) != (self.schema is None):
+            raise ConfigError("config needs exactly one data source: generator, or csv and schema")
+
+    def load(self, task: str) -> Dataset:
+        if self.generator is None:
+            return load_csv(self.csv, Schema.load(self.schema))
+        gen = generate_fraud_dataset if task == "fraud" else generate_regression_dataset
+        return gen(self.generator)
+
+
+@dataclass(frozen=True)
+class PretrainConfig(JsonConfig):
+    epochs: int = 3
+    mlm_probability: float | None = None  # None: the arm's train value, else 0.15
+
+
+@dataclass(frozen=True)
+class ArmConfig(JsonConfig):
+    """One arm: a family or preset, its ``model``/``train`` overrides
+    (``ModelSpec``/``TrainConfig`` keys) and its upsampling."""
+
+    name: str
+    family: str | None = None
+    preset: str | None = None
+    tower_mask: str = "both"
+    upsample: str = "none"
+    smote_k: int | None = None
+    target_ratio: float | None = None
+    model: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+    pretrain: PretrainConfig | None = None
+
+    def __post_init__(self):
+        arm = f"arm {self.name!r}"
+        if self.family is None and self.preset is None:
+            raise ConfigError(f"{arm} names neither family nor preset")
+        for key, choices in (("tower_mask", TOWER_MASKS), ("upsample", UPSAMPLE_METHODS)):
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"{arm}: {key} must be one of {choices}")
+        # these follow from the arm's family or preset, the windows and the task
+        for key in ("family", "n", "m", "head"):
+            if key in self.model:
+                raise ConfigError(f"{arm}: model key {key!r} is set "
+                                  "by the experiment, not the model block")
+        family = self.architecture
+        token_path = family.startswith("hierarchical")
+        if self.pretrain is not None and not token_path:
+            raise ConfigError(f"{arm}: a pretrain block needs a hierarchical family, "
+                              f"not {family!r}")
+        if self.upsample == "smote" and token_path:
+            raise ConfigError(f"{arm}: SMOTE cannot interpolate the token ids of {family!r}; "
+                              "use upsample 'duplicate'")
+        if self.smote_k is not None and self.upsample != "smote":
+            raise ConfigError(f"{arm}: smote_k needs upsample 'smote'")
+        if self.target_ratio is not None and self.upsample == "none":
+            raise ConfigError(f"{arm}: target_ratio needs upsample 'smote' or 'duplicate'")
+
+    @property
+    def architecture(self) -> str:
+        """The arm's family, else its preset's; loading the preset checks its name."""
+        preset = load_transformer_preset(self.preset) if self.preset is not None else {}
+        return self.family if self.family is not None else preset["architecture"]
+
+
+@dataclass(frozen=True)
+class ExperimentConfig(JsonConfig):
+    """An experiment document: data source, task, windowing, split, bins, arms."""
+
+    data: DataConfig
+    arms: tuple[ArmConfig, ...]
+    task: str = "fraud"
+    seed: int = 0
+    window_size: int = 10
+    stride: int = 5
+    val_fraction: float = 0.15
+    test_fraction: float = 0.15
+    bins: int = 32
+
+    def __post_init__(self):
+        if self.task not in TASKS:
+            raise ConfigError(f"task must be one of {tuple(TASKS)}")
+        if not self.arms:
+            raise ConfigError("config declares no arms")
+        names = [arm.name for arm in self.arms]
+        if len(set(names)) != len(names):
+            raise ConfigError("arm names must be unique")
+        upsampled = [arm.name for arm in self.arms if arm.upsample != "none"]
+        if upsampled and TASKS[self.task][1] != "binary":
+            raise ConfigError(f"arm {upsampled[0]!r}: upsample needs a binary task, "
+                              f"not {self.task!r}")
 
 
 def _arm_seed(base_seed: int, arm_index: int) -> int:
@@ -64,150 +160,77 @@ def _arm_seed(base_seed: int, arm_index: int) -> int:
 
 
 def load_experiment_config(path) -> dict:
+    """The experiment document at ``path``, checked by parsing it."""
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    validate_experiment_config(cfg)
+    ExperimentConfig.from_json(cfg)
     return cfg
 
 
-def validate_experiment_config(cfg: dict) -> None:
-    data = cfg.get("data", {})
-    if ("generator" in data) == ("csv" in data):
-        raise ConfigError("config needs exactly one data source: generator or csv")
-    if cfg.get("task", "fraud") not in TASKS:
-        raise ConfigError(f"task must be one of {tuple(TASKS)}")
-    arms = cfg.get("arms", [])
-    if not arms:
-        raise ConfigError("config declares no arms")
-    names = [a.get("name") for a in arms]
-    if len(set(names)) != len(names):
-        raise ConfigError("arm names must be unique")
-    for arm in arms:
-        if "preset" in arm and arm["preset"] is not None:
-            load_transformer_preset(arm["preset"])  # raises on unknown or non-transformer
-        if arm.get("tower_mask", "both") not in TOWER_MASKS:
-            raise ConfigError(f"bad tower_mask in arm {arm.get('name')!r}")
-        if arm.get("upsample", "none") not in ("none", "smote", "duplicate"):
-            raise ConfigError(f"bad upsample choice in arm {arm.get('name')!r}")
-
-
-def _load_dataset(cfg: dict) -> Dataset:
-    data = cfg["data"]
-    if "generator" in data:
-        gen = GenConfig.from_json(data["generator"])
-        if cfg.get("task", "fraud") == "fraud":
-            return generate_fraud_dataset(gen)
-        return generate_regression_dataset(gen)
-    schema = Schema.load(data["schema"])
-    return load_csv(data["csv"], schema)
-
-
-def prepare(cfg: dict):
+def prepare(exp: ExperimentConfig):
     """Load, impute, window, split and fit: returns the (train, val, test)
     window lists and the artifact fitted on the train entities' rows."""
-    dataset = impute_missing(_load_dataset(cfg))
-    rule, _ = TASKS[cfg.get("task", "fraud")]
-    windows = make_windows(dataset, cfg.get("window_size", 10), cfg.get("stride", 5), rule)
-    splits = split_entities(windows, cfg.get("val_fraction", 0.15),
-                            cfg.get("test_fraction", 0.15), cfg.get("seed", 0))
+    dataset = impute_missing(exp.data.load(exp.task))
+    windows = make_windows(dataset, exp.window_size, exp.stride, TASKS[exp.task][0])
+    splits = split_entities(windows, exp.val_fraction, exp.test_fraction, exp.seed)
     for name, part in zip(("train", "validation", "test"), splits):
         if not part:
             raise ConfigError(f"entity split produced an empty {name} partition")
     train_entities = {w.entity for w in splits[0]}
     artifact = fit_preprocess(
         Dataset(dataset.schema, tuple(r for r in dataset.records if r.entity in train_entities)),
-        bins=cfg.get("bins", 32))
+        bins=exp.bins)
     return splits, artifact
 
 
-def _arm_model_spec(arm: dict, n: int, m: int, head: str) -> ModelSpec:
-    block = arm.get("model", {})
-    # these follow from the arm's family or preset, the windows and the task
-    for key in ("family", "n", "m", "head"):
-        if key in block:
-            raise ConfigError(f"arm {arm.get('name')!r}: model key {key!r} is set "
-                              "by the experiment, not the model block")
-    kwargs = {"tower_mask": arm["tower_mask"]} if "tower_mask" in arm else {}
-    kwargs.update(block, n=n, m=m, head=head)
-    if arm.get("family") is not None:
-        kwargs["family"] = arm["family"]
-    if arm.get("preset"):
-        return preset_model_spec(load_transformer_preset(arm["preset"]), **kwargs)
-    if "family" not in kwargs:
-        raise ConfigError(f"arm {arm.get('name')!r} names neither family nor preset")
-    return ModelSpec.from_json(kwargs)
+def _arm_configs(arm: ArmConfig, n: int, m: int, head: str, seed: int):
+    """The arm's ModelSpec and TrainConfig: its preset's values, overridden by
+    the arm's tower mask and blocks, then by the window shape, head and seed."""
+    spec = {"family": arm.architecture, "tower_mask": arm.tower_mask, **arm.model,
+            "n": n, "m": m, "head": head}
+    train = {"seed": seed, **arm.train}
+    if arm.preset is None:
+        return ModelSpec.from_json(spec), TrainConfig.from_json(train)
+    preset = load_transformer_preset(arm.preset)
+    return preset_model_spec(preset, **spec), preset_train_config(preset, **train)
 
 
-def _arm_train_config(arm: dict, base_seed: int, arm_index: int) -> TrainConfig:
-    overrides = {"seed": _arm_seed(base_seed, arm_index), **arm.get("train", {})}
-    if arm.get("preset"):
-        return preset_train_config(load_transformer_preset(arm["preset"]), **overrides)
-    return TrainConfig.from_json(overrides)
-
-
-def _upsample_training_data(arm, inputs, y, seed):
-    choice = arm.get("upsample", "none")
-    if choice == "none":
+def _upsample_training_data(arm: ArmConfig, inputs, y, seed):
+    if arm.upsample == "none":
         return inputs, y
     pos_idx = np.nonzero(y == 1.0)[0]
-    neg_idx = np.nonzero(y != 1.0)[0]
-    if choice == "smote":
-        smote_cfg = SmoteConfig(
-            k=arm.get("smote_k", 5),
-            target_ratio=arm.get("target_ratio", 1.0),
-            seed=seed,
-        )
-        synthetic = smote_upsample(inputs[0][pos_idx], len(neg_idx), smote_cfg)
+    neg_count = int(np.sum(y != 1.0))
+    given = {"k": arm.smote_k, "target_ratio": arm.target_ratio}
+    smote_cfg = SmoteConfig(seed=seed, **{k: v for k, v in given.items() if v is not None})
+    if arm.upsample == "smote":
+        synthetic = smote_upsample(inputs[0][pos_idx], neg_count, smote_cfg)
         x = np.concatenate([inputs[0], synthetic])
         return (x,), np.concatenate([y, np.ones(len(synthetic))])
-    # duplicate: token-path (and generic) upsampling by repetition
-    extra = duplicate_upsample(list(pos_idx), len(neg_idx),
-                               arm.get("target_ratio", 1.0), seed)
-    if not extra:
-        return inputs, y
+    extra = duplicate_upsample(list(pos_idx), neg_count, smote_cfg.target_ratio, seed)
     idx = np.concatenate([np.arange(len(y)), np.array(extra, dtype=np.int64)])
-    return tuple(a[idx] if a is not None else None for a in inputs), y[idx]
+    return index_inputs(inputs, idx), y[idx]
 
 
-def _measure_attention_pairs(model, inputs) -> int:
-    model.counter.reset()
-    one = tuple(a[:1] if a is not None else None for a in inputs)
-    if isinstance(model, HierarchicalModel):
-        model(one[0], raw=one[1])
-    else:
-        model(one[0])
-    pairs = model.counter.count
-    model.counter.reset()
-    return pairs
-
-
-def run_arm(arm: dict, arm_index: int, cfg: dict, splits, artifact: PreprocessArtifact,
-            out_dir) -> dict:
+def run_arm(arm: ArmConfig, arm_index: int, exp: ExperimentConfig, splits,
+            artifact: PreprocessArtifact, out_dir) -> dict:
     """Train and evaluate one arm; returns its deterministic report entry."""
-    task = cfg.get("task", "fraud")
-    _, head = TASKS[task]
-    spec = _arm_model_spec(arm, len(splits[0][0].rows), artifact.schema.n_features, head)
-    tcfg = _arm_train_config(arm, cfg.get("seed", 0), arm_index)
-    seed = tcfg.seed
-    token_path = spec.family.startswith("hierarchical")
+    _, head = TASKS[exp.task]
+    spec, tcfg = _arm_configs(arm, len(splits[0][0].rows), artifact.schema.n_features, head,
+                              _arm_seed(exp.seed, arm_index))
+    seed, name = tcfg.seed, arm.name
 
     train_inputs, val_inputs, test_inputs = (encode_inputs(ws, artifact, spec.family)
                                              for ws in splits)
     train_y, val_y, test_y = (window_labels(ws) for ws in splits)
+    train_inputs, train_y = _upsample_training_data(arm, train_inputs, train_y, seed)
 
-    if task == "fraud":
-        train_inputs, train_y = _upsample_training_data(arm, train_inputs, train_y, seed)
-
-    name = arm["name"]
-    pretrain_epochs = int(arm.get("pretrain", {}).get("epochs", 3)) if token_path else 0
     history_paths = {}
-    if token_path:
-        mlm_spec = replace(spec, head="mlm")
-        model = build_model(mlm_spec, seed=seed, vocab=artifact.vocab)
-        mlm_p = arm.get("pretrain", {}).get("mlm_probability",
-                                            tcfg.mlm_probability or 0.15)
-        pre_cfg = replace(tcfg, epochs=pretrain_epochs, mlm_probability=mlm_p,
-                          patience=None)
+    if spec.family.startswith("hierarchical"):
+        pre = arm.pretrain or PretrainConfig()
+        model = build_model(replace(spec, head="mlm"), seed=seed, vocab=artifact.vocab)
+        mlm_p = (pre.mlm_probability if pre.mlm_probability is not None
+                 else tcfg.mlm_probability or 0.15)
+        pre_cfg = replace(tcfg, epochs=pre.epochs, mlm_probability=mlm_p, patience=None)
         ids, raw = train_inputs
         model, pre_hist = pretrain_mlm(model, ids, raw, pre_cfg)
         ckpt = os.path.join(out_dir, f"{name}_pretrained.ckpt")
@@ -231,7 +254,9 @@ def run_arm(arm: dict, arm_index: int, cfg: dict, splits, artifact: PreprocessAr
     result = dict.fromkeys(METRIC_KEYS, np.nan)
     result.update(evaluate_scores(predict_scores(model, test_inputs), test_y, spec.head))
     result["val_metric"] = hist.val_metric[hist.best_epoch - 1]  # the restored model's
-    result["attn_pairs"] = _measure_attention_pairs(model, test_inputs)
+    model.counter.reset()  # one window's forward alone
+    model(*index_inputs(test_inputs, slice(0, 1)))
+    result["attn_pairs"] = model.counter.count
     result["attn_pairs_closed_form"] = expected_attention_pairs(spec, 1)
     result["model_spec"] = spec.to_json()
     result["train_config"] = tcfg.to_json()
@@ -241,26 +266,25 @@ def run_arm(arm: dict, arm_index: int, cfg: dict, splits, artifact: PreprocessAr
 
 
 def run_experiment(cfg: dict, out_dir) -> dict:
-    """Execute every arm of an experiment; writes report.json and metrics.csv."""
-    validate_experiment_config(cfg)
+    """Run every arm of an experiment document; writes report.json and metrics.csv."""
+    exp = ExperimentConfig.from_json(cfg)
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
-    seed = cfg.get("seed", 0)
 
-    splits, artifact = prepare(cfg)
+    splits, artifact = prepare(exp)
     artifact.save(os.path.join(out_dir, "preprocess.json"))
 
     arms = {}
     timing = {}
-    for i, arm in enumerate(cfg["arms"]):
+    for i, arm in enumerate(exp.arms):
         t0 = time.perf_counter()
-        arms[arm["name"]] = run_arm(arm, i, cfg, splits, artifact, out_dir)
-        timing[arm["name"]] = time.perf_counter() - t0
+        arms[arm.name] = run_arm(arm, i, exp, splits, artifact, out_dir)
+        timing[arm.name] = time.perf_counter() - t0
 
     report = {
         "deterministic": {
             "config": cfg,
-            "seed": seed,
+            "seed": exp.seed,
             "split_sizes": {"train": len(splits[0]), "val": len(splits[1]),
                             "test": len(splits[2])},
             "vocab_hash": artifact.content_hash(),
@@ -301,27 +325,16 @@ def write_report(report: dict, out_dir) -> None:
 
 
 def ablate_towers(cfg: dict, out_dir) -> dict:
-    """Expand a single twin-tower arm into both/time/feature mask arms."""
-    validate_experiment_config(cfg)
-    base_arms = [a for a in cfg["arms"]
-                 if a.get("family") == "twin_tower"
-                 or (a.get("preset") or "").endswith("twintower")]
-    if not base_arms:
+    """Expand the first twin-tower arm into both/time/feature mask arms."""
+    exp = ExperimentConfig.from_json(cfg)
+    base = next((arm for arm in exp.arms if arm.architecture == "twin_tower"), None)
+    if base is None:
         raise ConfigError("tower ablation needs a twin_tower arm")
-    base = base_arms[0]
-    expanded = []
-    for mask in ("both", "time", "feature"):
-        arm = dict(base)
-        arm["name"] = f"{base['name']}_{mask}"
-        arm["tower_mask"] = mask
-        # shared seed and data: same per-arm train seed for every mask
-        arm.setdefault("train", {})
-        arm["train"] = dict(arm["train"])
-        arm["train"].setdefault("seed", _arm_seed(cfg.get("seed", 0), 0))
-        expanded.append(arm)
-    abl_cfg = dict(cfg)
-    abl_cfg["arms"] = expanded
-    return run_experiment(abl_cfg, out_dir)
+    # shared seed and data: same per-arm train seed for every mask
+    train = {"seed": _arm_seed(exp.seed, 0), **base.train}
+    arms = tuple(replace(base, name=f"{base.name}_{mask}", tower_mask=mask, train=train)
+                 for mask in TOWER_MASKS)
+    return run_experiment({**cfg, "arms": [arm.to_json() for arm in arms]}, out_dir)
 
 
 def _grid_points(grid: dict, budget: int | None, seed: int) -> list[dict]:
@@ -339,25 +352,22 @@ def sweep(cfg: dict, grid: dict, out_dir, budget: int | None = None) -> dict:
     """Grid (or budgeted random) search over TrainConfig/ModelSpec fields of
     the first arm; selects the point with the best validation metric and
     reports that point's test metrics."""
-    validate_experiment_config(cfg)
+    exp = ExperimentConfig.from_json(cfg)
     if not grid:
         raise ConfigError("sweep needs a non-empty grid")
     os.makedirs(out_dir, exist_ok=True)
-    base = cfg["arms"][0]
-    model_keys = {"hidden", "heads", "layers", "field_layers", "dropout"}
-    splits, artifact = prepare(cfg)
+    base = exp.arms[0]
+    model_keys = {f.name for f in fields(ModelSpec)}
+    splits, artifact = prepare(exp)
 
     results = []
-    for i, point in enumerate(_grid_points(grid, budget, cfg.get("seed", 0))):
-        arm = json.loads(json.dumps(base))
-        arm["name"] = f"sweep_{i:03d}"
-        arm.setdefault("model", {})
-        arm.setdefault("train", {})
-        for k, v in point.items():
-            (arm["model"] if k in model_keys else arm["train"])[k] = v
-        arm["train"]["seed"] = _arm_seed(cfg.get("seed", 0), 100 + i)
-        res = run_arm(arm, 100 + i, cfg, splits, artifact, out_dir)
-        results.append({"point": point, "arm": arm["name"],
+    for i, point in enumerate(_grid_points(grid, budget, exp.seed)):
+        model = {k: v for k, v in point.items() if k in model_keys}
+        train = {k: v for k, v in point.items() if k not in model_keys}
+        arm = replace(base, name=f"sweep_{i:03d}", model={**base.model, **model},
+                      train={**base.train, **train, "seed": _arm_seed(exp.seed, 100 + i)})
+        res = run_arm(arm, 100 + i, exp, splits, artifact, out_dir)
+        results.append({"point": point, "arm": arm.name,
                         "val_metric": res["val_metric"], "test": res})
 
     best = max(results, key=lambda r: r["val_metric"])

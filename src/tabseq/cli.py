@@ -38,17 +38,12 @@ from .training import (
     train_supervised,
     window_labels,
 )
+from .upsample import UPSAMPLE_METHODS
 
 
 def _load_data(args) -> Dataset:
     schema = Schema.load(args.schema)
     return impute_missing(load_csv(args.data, schema))
-
-
-def _train_entities(d: Dataset, args) -> set:
-    train, _, _ = split_entity_names({r.entity for r in d.records},
-                                     args.val_fraction, args.test_fraction, args.seed)
-    return train
 
 
 def cmd_generate(args) -> int:
@@ -65,7 +60,8 @@ def cmd_generate(args) -> int:
 
 def cmd_preprocess(args) -> int:
     dataset = _load_data(args)
-    train_set = _train_entities(dataset, args)
+    train_set, _, _ = split_entity_names({r.entity for r in dataset.records},
+                                         args.val_fraction, args.test_fraction, args.seed)
     train_data = Dataset(dataset.schema,
                          tuple(r for r in dataset.records if r.entity in train_set))
     artifact = fit_preprocess(train_data, bins=args.bins)
@@ -98,23 +94,20 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _experiment_config(args) -> dict:
+    """The experiment document of ``--config``, with ``--seed`` if given."""
     cfg = bench.load_experiment_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    for arm in cfg["arms"]:
-        if args.upsample is not None:
-            arm["upsample"] = args.upsample
-        if args.smote_k is not None:
-            arm["smote_k"] = args.smote_k
-        if args.target_ratio is not None:
-            arm["target_ratio"] = args.target_ratio
-        if args.tower_mask is not None:
-            arm["tower_mask"] = args.tower_mask
-        if args.preset is not None:
-            arm["preset"] = args.preset
-    report = bench.run_experiment(cfg, args.out)
-    _print_arm_table(report)
+    return cfg
+
+
+def cmd_train(args) -> int:
+    cfg = _experiment_config(args)
+    arm_flags = ("preset", "upsample", "smote_k", "target_ratio", "tower_mask")
+    overrides = {k: v for k, v in vars(args).items() if k in arm_flags and v is not None}
+    cfg["arms"] = [{**arm, **overrides} for arm in cfg["arms"]]
+    _print_arm_table(bench.run_experiment(cfg, args.out))
     return 0
 
 
@@ -164,21 +157,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = bench.load_experiment_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    report = bench.ablate_towers(cfg, args.out)
-    _print_arm_table(report)
+    _print_arm_table(bench.ablate_towers(_experiment_config(args), args.out))
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = bench.load_experiment_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     with open(args.grid, encoding="utf-8") as fh:
         grid = json.load(fh)
-    report = bench.sweep(cfg, grid, args.out, budget=args.budget)
+    report = bench.sweep(_experiment_config(args), grid, args.out, budget=args.budget)
     best = report["deterministic"]["best"]
     print(f"best point {best['point']} (val metric {best['val_metric']:.4f})")
     return 0
@@ -260,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--preset", default=None, help="preset override for every arm")
-    p.add_argument("--upsample", choices=("smote", "duplicate", "none"), default=None)
+    p.add_argument("--upsample", choices=UPSAMPLE_METHODS, default=None)
     p.add_argument("--smote-k", type=int, default=None, dest="smote_k")
     p.add_argument("--target-ratio", type=float, default=None, dest="target_ratio")
     p.add_argument("--tower-mask", choices=TOWER_MASKS,

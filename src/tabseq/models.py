@@ -20,10 +20,11 @@ complexity of each family can be compared against its closed form.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import JsonConfig
 from .errors import ConfigError, ShapeError
 from .nn import layers as L
 from .nn import tensor as T
@@ -38,7 +39,7 @@ TOWER_MASKS = ("both", "time", "feature")
 
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(JsonConfig):
     family: str
     n: int
     m: int
@@ -69,16 +70,6 @@ class ModelSpec:
         if self.tower_mask != "both" and self.family != "twin_tower":
             raise ConfigError(f"tower mask {self.tower_mask!r} needs the twin_tower family, "
                               f"not {self.family!r}")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ModelSpec":
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(f"bad model spec: {exc}") from exc
 
 
 def expected_attention_pairs(spec: ModelSpec, batch: int) -> int:

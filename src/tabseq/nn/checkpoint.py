@@ -9,6 +9,7 @@ order.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -46,21 +47,24 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
-    try:
+    try:  # undecodable bytes, bad JSON and a bad tensor directory alike
         header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
+        if header.get("format") != FORMAT_TAG or header.get("version") != VERSION:
+            raise RangeError("unsupported checkpoint format or version")
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise RangeError(f"not a checkpoint file: {exc}") from exc
-    if header.get("format") != FORMAT_TAG or header.get("version") != VERSION:
-        raise RangeError("unsupported checkpoint format or version")
     params = {}
     offset = 0
-    for entry in header["tensors"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
+    for name, shape in entries:
+        if not isinstance(name, str) or not all(type(d) is int and d >= 0 for d in shape):
+            raise RangeError(f"bad tensor {name!r} of shape {shape} in checkpoint header")
+        size = math.prod(shape)
         nbytes = 4 * size
         if offset + nbytes > len(blob):
             raise ShapeError("checkpoint data truncated")
         arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-        params[entry["name"]] = arr.astype(np.float64).reshape(entry["shape"])
+        params[name] = arr.astype(np.float64).reshape(shape)
         offset += nbytes
     if offset != len(blob):
         raise ShapeError("checkpoint has trailing data")

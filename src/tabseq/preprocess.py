@@ -367,23 +367,26 @@ class PreprocessArtifact:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PreprocessArtifact":
-        if doc.get("version") != ARTIFACT_VERSION:
-            raise RangeError(f"unsupported artifact version {doc.get('version')!r}")
-        schema = Schema.from_json(doc["schema"])
-        quantizers = {
-            name: Quantizer(name, tuple(q["edges"]), q["bins"])
-            for name, q in doc["quantizers"].items()
-        }
-        vocab = Vocabulary(
-            tuple(
-                FieldTokens(f["name"], FieldKind(f["kind"]), f["start"], tuple(f["entries"]))
-                for f in doc["vocabulary"]
+        try:
+            if doc.get("version") != ARTIFACT_VERSION:
+                raise RangeError(f"unsupported artifact version {doc.get('version')!r}")
+            schema = Schema.from_json(doc["schema"])
+            quantizers = {
+                name: Quantizer(name, tuple(q["edges"]), q["bins"])
+                for name, q in doc["quantizers"].items()
+            }
+            vocab = Vocabulary(
+                tuple(
+                    FieldTokens(f["name"], FieldKind(f["kind"]), f["start"], tuple(f["entries"]))
+                    for f in doc["vocabulary"]
+                )
             )
-        )
-        numeric = NumericEncoder(
-            {k: tuple(v) for k, v in doc["numeric"]["stats"].items()},
-            {k: dict(v) for k, v in doc["numeric"]["label_tables"].items()},
-        )
+            numeric = NumericEncoder(
+                {k: tuple(v) for k, v in doc["numeric"]["stats"].items()},
+                {k: dict(v) for k, v in doc["numeric"]["label_tables"].items()},
+            )
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            raise RangeError(f"malformed artifact document: {exc}") from exc
         return cls(schema, quantizers, vocab, numeric)
 
     def content_hash(self) -> str:

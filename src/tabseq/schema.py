@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
+from .config import JsonConfig
 from .errors import EmptyResult, ParseError, RangeError, SchemaMismatch
 
 MISSING_CATEGORY = "__MISSING__"
@@ -24,14 +25,14 @@ class FieldKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(JsonConfig):
     name: str
     kind: FieldKind
     nullable: bool = False
 
 
 @dataclass(frozen=True)
-class Schema:
+class Schema(JsonConfig):
     """Ordered field declarations plus the entity/time/label key roles."""
 
     fields: tuple[FieldSpec, ...]
@@ -88,28 +89,6 @@ class Schema:
 
     def field_by_name(self, name: str) -> FieldSpec:
         return self.fields[self.index_of(name)]
-
-    def to_json(self) -> dict:
-        return {
-            "fields": [
-                {"name": f.name, "kind": f.kind.value, "nullable": f.nullable}
-                for f in self.fields
-            ],
-            "entity_key": self.entity_key,
-            "time_key": self.time_key,
-            "label_key": self.label_key,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Schema":
-        try:
-            fields = tuple(
-                FieldSpec(f["name"], FieldKind(f["kind"]), bool(f.get("nullable", False)))
-                for f in doc["fields"]
-            )
-            return cls(fields, doc["entity_key"], doc["time_key"], doc.get("label_key"))
-        except (KeyError, ValueError) as exc:
-            raise SchemaMismatch(f"malformed schema document: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import JsonConfig
 from .errors import ConfigError
 from .schema import Dataset, FieldKind, FieldSpec, Record, Schema
 
@@ -36,7 +37,7 @@ def _entity_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class GenConfig:
+class GenConfig(JsonConfig):
     entities: int = 200
     rows_per_entity: int = 40
     numerical_fields: int = 8
@@ -64,30 +65,6 @@ class GenConfig:
             raise ConfigError("noise_scale must be >= 0")
         if not 0.0 <= self.serial_correlation < 1.0:
             raise ConfigError("serial_correlation must lie in [0, 1)")
-
-    def to_json(self) -> dict:
-        return {
-            "entities": self.entities,
-            "rows_per_entity": self.rows_per_entity,
-            "numerical_fields": self.numerical_fields,
-            "categorical_cardinalities": list(self.categorical_cardinalities),
-            "fraud_rate": self.fraud_rate,
-            "temporal_signal_strength": self.temporal_signal_strength,
-            "cross_feature_signal_strength": self.cross_feature_signal_strength,
-            "noise_scale": self.noise_scale,
-            "serial_correlation": self.serial_correlation,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "GenConfig":
-        doc = dict(doc)
-        if "categorical_cardinalities" in doc:
-            doc["categorical_cardinalities"] = tuple(doc["categorical_cardinalities"])
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(f"bad generator config: {exc}") from exc
 
 
 def _make_schema(cfg: GenConfig, label_kind: FieldKind) -> Schema:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import JsonConfig
 from .errors import ConfigError, DegenerateLabels, DivergenceError, VocabularyMismatch
 from .metrics import f1, rank_metrics, rmse, tie_fraction
 from .models import HierarchicalModel, ModelSpec, build_model
@@ -31,7 +32,7 @@ TASKS = {"fraud": ("any_positive", "binary"), "regression": ("last_target", "reg
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     learning_rate: float = 1e-3
     optimizer: str = "adam"
     batch_size: int = 64
@@ -49,16 +50,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.mlm_probability is not None and not 0.0 < self.mlm_probability < 1.0:
             raise ConfigError("MLM probability must lie in (0, 1)")
-
-    def to_json(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TrainConfig":
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(f"bad train config: {exc}") from exc
 
 
 @dataclass
@@ -150,15 +141,9 @@ def mask_tokens(ids: np.ndarray, p: float, rng: np.random.Generator):
     return masked, mask, ids
 
 
-def _forward(model, inputs, train, rng):
-    if isinstance(model, HierarchicalModel):
-        ids, raw = inputs
-        return model(ids, raw=raw, train=train, rng=rng)
-    (x,) = inputs
-    return model(x, train=train, rng=rng)
-
-
-def _batch(inputs, idx):
+def index_inputs(inputs: tuple, idx) -> tuple:
+    """The windows ``idx`` of every model input array; an absent input
+    (``raw`` of a family without raw values) stays None."""
     return tuple(a[idx] if a is not None else None for a in inputs)
 
 
@@ -172,8 +157,7 @@ def _logits(model, inputs, batch_size: int = 512) -> list[np.ndarray]:
     """Model outputs per batch of ``batch_size`` windows, computed without a tape."""
     n = len(inputs[0])
     with T.no_grad():  # a list, not a generator, so the tape is back on for the caller
-        return [_forward(model, _batch(inputs, np.arange(start, min(start + batch_size, n))),
-                         False, None).data
+        return [model(*index_inputs(inputs, np.arange(start, min(start + batch_size, n)))).data
                 for start in range(0, n, batch_size)]
 
 
@@ -269,7 +253,7 @@ def train_supervised(model, train_data, val_data, cfg: TrainConfig):
         raise ConfigError("no training samples")
 
     def loss_fn(idx, drop_rng):
-        out = _forward(model, _batch(train_inputs, idx), True, drop_rng)
+        out = model(*index_inputs(train_inputs, idx), train=True, rng=drop_rng)
         return _supervised_loss(model, out, train_y[idx])
 
     def eval_fn():

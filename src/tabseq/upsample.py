@@ -1,8 +1,8 @@
 """Minority-class oversampling over flattened window features.
 
 SMOTE interpolates between a minority window and one of its k nearest
-neighbors in flattened feature space. For token-grid inputs, where
-interpolating ids is meaningless, minority windows are duplicated instead.
+neighbors in flattened feature space, so experiments reject it on token grids
+(ids cannot be interpolated); ``duplicate_upsample`` repeats any input's windows.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TooFewSamples
+
+UPSAMPLE_METHODS = ("none", "smote", "duplicate")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
-"""Shared fixtures: small hand-built datasets and generated corpora."""
+"""Shared fixtures: small hand-built datasets and generated corpora, and
+JSON document strategies."""
+
+import copy
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from tabseq.schema import Dataset, FieldKind, FieldSpec, Record, Schema
 from tabseq.synthgen import GenConfig, generate_fraud_dataset
@@ -42,3 +46,42 @@ def fraud_dataset():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+# -- JSON document strategies for the loader fuzz tests -----------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-2, 2, allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(["vanilla", "hierarchical", "fraud_tabbert",
+                                              "smote", "duplicate", "time", "numerical"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three nested entries replaced by any JSON value,
+    deleted, or joined by an extra entry."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while isinstance(node, (dict, list)) and node:
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            action = draw(st.sampled_from(["replace", "delete", "add"]))
+            if action == "replace":
+                node[key] = draw(json_values)
+            elif action == "delete":
+                del node[key]
+            elif isinstance(node, dict):
+                node[draw(st.text(max_size=4))] = draw(json_values)
+            else:
+                node.append(draw(json_values))
+            break
+    return doc

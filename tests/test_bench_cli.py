@@ -5,21 +5,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tabseq.bench import (
     CSV_HEADER,
+    ArmConfig,
+    ExperimentConfig,
     _arm_seed,
+    _upsample_training_data,
     ablate_towers,
     prepare,
     run_experiment,
     sweep,
-    validate_experiment_config,
 )
 from tabseq.cli import main
 from tabseq.errors import ConfigError
 from tabseq.models import ModelSpec, expected_attention_pairs
-from tabseq.nn import save_checkpoint
+from tabseq.nn import load_checkpoint, save_checkpoint
 from tabseq.preprocess import PreprocessArtifact
 from tabseq.schema import (
     Dataset,
@@ -90,53 +93,80 @@ def best_history_row(path) -> dict:
 
 class TestValidateConfig:
     def test_valid_passes(self):
-        validate_experiment_config(base_config())
+        ExperimentConfig.from_json(base_config())
 
     def test_needs_exactly_one_data_source(self):
         cfg = base_config()
         cfg["data"]["csv"] = "x.csv"
         with pytest.raises(ConfigError):
-            validate_experiment_config(cfg)
+            ExperimentConfig.from_json(cfg)
         with pytest.raises(ConfigError):
-            validate_experiment_config(base_config(data={}))
+            ExperimentConfig.from_json(base_config(data={}))
 
     def test_duplicate_arm_names(self):
         cfg = base_config()
         cfg["arms"][1]["name"] = "vanilla"
         with pytest.raises(ConfigError):
-            validate_experiment_config(cfg)
+            ExperimentConfig.from_json(cfg)
 
     def test_no_arms(self):
         with pytest.raises(ConfigError):
-            validate_experiment_config(base_config(arms=[]))
+            ExperimentConfig.from_json(base_config(arms=[]))
 
     def test_unknown_preset(self):
         cfg = base_config()
         cfg["arms"][0]["preset"] = "missing_preset"
         with pytest.raises(ConfigError):
-            validate_experiment_config(cfg)
+            ExperimentConfig.from_json(cfg)
 
     def test_non_transformer_preset(self):
         cfg = base_config()
         cfg["arms"][0]["preset"] = "default_lightgbm"
         with pytest.raises(ConfigError, match="default_lightgbm"):
-            validate_experiment_config(cfg)
+            ExperimentConfig.from_json(cfg)
 
     def test_bad_tower_mask(self):
         cfg = base_config()
         cfg["arms"][1]["tower_mask"] = "sideways"
         with pytest.raises(ConfigError):
-            validate_experiment_config(cfg)
+            ExperimentConfig.from_json(cfg)
 
     def test_bad_upsample(self):
         cfg = base_config()
         cfg["arms"][0]["upsample"] = "adasyn"
         with pytest.raises(ConfigError):
-            validate_experiment_config(cfg)
+            ExperimentConfig.from_json(cfg)
 
     def test_bad_task(self):
         with pytest.raises(ConfigError):
-            validate_experiment_config(base_config(task="ranking"))
+            ExperimentConfig.from_json(base_config(task="ranking"))
+
+    @pytest.mark.parametrize("arm, patch, key", [
+        (2, {"pretrain": {"epoch": 1}}, "epoch"),
+        (None, {"windowsize": 3}, "windowsize"),
+        (1, {"towermask": "time"}, "towermask"),
+        (0, {"pretrain": {"epochs": 1}}, "pretrain"),
+        (1, {"pretrain": {}}, "pretrain"),
+        (0, {"smote_k": 3}, "smote_k"),
+        (0, {"upsample": "duplicate", "smote_k": 3}, "smote_k"),
+        (0, {"target_ratio": 0.5}, "target_ratio"),
+        (None, {"seed": "7"}, "seed"),
+        (None, {"window_size": 2.5}, "window_size"),
+    ], ids=["pretrain-typo", "experiment-typo", "arm-typo", "pretrain-on-vanilla",
+            "pretrain-on-twin", "smote_k-without-upsample", "smote_k-on-duplicate",
+            "target_ratio-without-upsample", "string-seed", "float-window"])
+    def test_unused_or_wrong_key_fails_before_training(self, arm, patch, key, tmp_path):
+        cfg = base_config()
+        (cfg if arm is None else cfg["arms"][arm]).update(patch)
+        with pytest.raises(ConfigError, match=key):
+            run_experiment(cfg, tmp_path)
+        assert not (tmp_path / "preprocess.json").exists()
+
+    def test_upsample_on_regression_rejected(self, tmp_path):
+        cfg = base_config(task="regression")
+        cfg["arms"][0]["upsample"] = "duplicate"
+        with pytest.raises(ConfigError, match="arm 'vanilla': upsample"):
+            run_experiment(cfg, tmp_path)
 
 
 class TestArmConfig:
@@ -176,11 +206,39 @@ class TestArmConfig:
                      "--out", str(tmp_path / "run")]) == 1
         assert "error: tower mask 'time' needs the twin_tower family" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["hierarchical", "hierarchical_joint"])
+    def test_smote_on_token_arm_fails_train(self, family, pipeline, tmp_path, capsys):
+        _, data_dir, _ = pipeline
+        cfg = csv_config(data_dir, 2)  # the hierarchical arm
+        cfg["arms"][0]["family"] = family
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path), "--upsample", "smote",
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: arm 'hier'") and "'duplicate'" in err
+
+    def test_upsampling_through_run_experiment(self, tmp_path):
+        cfg = base_config()
+        cfg["arms"][0].update(upsample="smote", smote_k=3, target_ratio=0.8)
+        cfg["arms"][2].update(family="hierarchical_joint", upsample="duplicate")
+        cfg["arms"] = [cfg["arms"][0], cfg["arms"][2]]
+        arms = run_experiment(cfg, tmp_path)["deterministic"]["arms"]
+        assert arms["vanilla"]["attn_pairs"] > 0 and arms["hier"]["attn_pairs"] > 0
+
+        # duplication keeps every input, raw values included, row for row
+        ids = np.arange(40).reshape(20, 1, 2)
+        y = np.array([1.0] * 4 + [0.0] * 16)
+        arm = ArmConfig(name="joint", family="hierarchical_joint", upsample="duplicate")
+        (up_ids, up_raw), up_y = _upsample_training_data(arm, (ids, ids * 0.5), y, seed=0)
+        assert len(up_y) == 32 and up_y[20:].all()
+        assert np.array_equal(up_raw, up_ids * 0.5) and np.array_equal(up_ids[:20], ids)
+
     @pytest.mark.parametrize("fraction", ["val_fraction", "test_fraction"])
     def test_empty_partition_rejected(self, fraction, tmp_path):
         cfg = base_config(**{fraction: 0.0})
         with pytest.raises(ConfigError, match="empty"):
-            prepare(cfg)
+            prepare(ExperimentConfig.from_json(cfg))
         with pytest.raises(ConfigError, match="empty"):
             run_experiment(cfg, tmp_path / "exp")
         with pytest.raises(ConfigError, match="empty"):
@@ -333,6 +391,14 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(self.sweep_config(), {}, tmp_path)
 
+    def test_grid_over_model_block_key(self, tmp_path):
+        cfg = base_config()
+        cfg["arms"] = [dict(cfg["arms"][2], family="hierarchical_joint")]
+        report = sweep(cfg, {"mlm_lambda": [0.5, 2.0]}, tmp_path)
+        for point in report["deterministic"]["points"]:
+            header, _ = load_checkpoint(tmp_path / f"{point['arm']}_final.ckpt")
+            assert header["model_spec"]["mlm_lambda"] == point["point"]["mlm_lambda"]
+
     def test_val_metric_from_training_history(self, tmp_path):
         report = sweep(self.sweep_config(), {"learning_rate": [1e-3, 1e-2]}, tmp_path)
         for point in report["deterministic"]["points"]:
@@ -438,7 +504,7 @@ class TestCli:
         assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 0
         reported = json.loads((out / "report.json").read_text())["deterministic"]["arms"]
 
-        (_, _, test_w), _ = prepare(cfg)
+        (_, _, test_w), _ = prepare(ExperimentConfig.from_json(cfg))
         entities = {w.entity for w in test_w}
         data = load_csv(data_dir / "data.csv", Schema.load(data_dir / "schema.json"))
         test_csv = tmp_path / "test.csv"
