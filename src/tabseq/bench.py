@@ -2,7 +2,7 @@
 
 An experiment config names a data source (generator config or CSV paths),
 preprocessing choices, and a list of arms; each arm picks a model family,
-optional preset, optional upsampling, and a tower mask. Running an
+optional preset, model and training settings, and upsampling. Running an
 experiment executes every arm deterministically and writes a report JSON,
 a per-arm metrics CSV, per-arm training histories, and checkpoints.
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import os
 import platform
 import time
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .config import JsonConfig
+from .config import JsonConfig, read_json, write_json
 from .errors import ConfigError
 from .models import ModelSpec, TOWER_MASKS, build_model, expected_attention_pairs
 from .preprocess import PreprocessArtifact, fit_preprocess
@@ -85,7 +84,6 @@ class ArmConfig(JsonConfig):
     name: str
     family: str | None = None
     preset: str | None = None
-    tower_mask: str = "both"
     upsample: str = "none"
     smote_k: int | None = None
     target_ratio: float | None = None
@@ -97,9 +95,8 @@ class ArmConfig(JsonConfig):
         arm = f"arm {self.name!r}"
         if self.family is None and self.preset is None:
             raise ConfigError(f"{arm} names neither family nor preset")
-        for key, choices in (("tower_mask", TOWER_MASKS), ("upsample", UPSAMPLE_METHODS)):
-            if getattr(self, key) not in choices:
-                raise ConfigError(f"{arm}: {key} must be one of {choices}")
+        if self.upsample not in UPSAMPLE_METHODS:
+            raise ConfigError(f"{arm}: upsample must be one of {UPSAMPLE_METHODS}")
         # these follow from the arm's family or preset, the windows and the task
         for key in ("family", "n", "m", "head"):
             if key in self.model:
@@ -161,8 +158,7 @@ def _arm_seed(base_seed: int, arm_index: int) -> int:
 
 def load_experiment_config(path) -> dict:
     """The experiment document at ``path``, checked by parsing it."""
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = read_json(path)
     ExperimentConfig.from_json(cfg)
     return cfg
 
@@ -183,16 +179,19 @@ def prepare(exp: ExperimentConfig):
     return splits, artifact
 
 
-def _arm_configs(arm: ArmConfig, n: int, m: int, head: str, seed: int):
-    """The arm's ModelSpec and TrainConfig: its preset's values, overridden by
-    the arm's tower mask and blocks, then by the window shape, head and seed."""
-    spec = {"family": arm.architecture, "tower_mask": arm.tower_mask, **arm.model,
-            "n": n, "m": m, "head": head}
-    train = {"seed": seed, **arm.train}
-    if arm.preset is None:
-        return ModelSpec.from_json(spec), TrainConfig.from_json(train)
-    preset = load_transformer_preset(arm.preset)
-    return preset_model_spec(preset, **spec), preset_train_config(preset, **train)
+def _arm_configs(arm: ArmConfig, index: int, exp: ExperimentConfig, artifact: PreprocessArtifact):
+    """The arm's ModelSpec and TrainConfig: its preset's values, overridden by its
+    blocks, then by the window shape, the task head and (unless set) the arm seed."""
+    spec = {"family": arm.architecture, **arm.model, "n": exp.window_size,
+            "m": artifact.schema.n_features, "head": TASKS[exp.task][1]}
+    train = {"seed": _arm_seed(exp.seed, index), **arm.train}
+    try:
+        if arm.preset is None:
+            return ModelSpec.from_json(spec), TrainConfig.from_json(train)
+        preset = load_transformer_preset(arm.preset)
+        return preset_model_spec(preset, **spec), preset_train_config(preset, **train)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} (arm {arm.name!r})") from None
 
 
 def _upsample_training_data(arm: ArmConfig, inputs, y, seed):
@@ -211,12 +210,9 @@ def _upsample_training_data(arm: ArmConfig, inputs, y, seed):
     return index_inputs(inputs, idx), y[idx]
 
 
-def run_arm(arm: ArmConfig, arm_index: int, exp: ExperimentConfig, splits,
+def run_arm(arm: ArmConfig, spec: ModelSpec, tcfg: TrainConfig, splits,
             artifact: PreprocessArtifact, out_dir) -> dict:
-    """Train and evaluate one arm; returns its deterministic report entry."""
-    _, head = TASKS[exp.task]
-    spec, tcfg = _arm_configs(arm, len(splits[0][0].rows), artifact.schema.n_features, head,
-                              _arm_seed(exp.seed, arm_index))
+    """Train and evaluate one arm with its resolved configs; returns its report entry."""
     seed, name = tcfg.seed, arm.name
 
     train_inputs, val_inputs, test_inputs = (encode_inputs(ws, artifact, spec.family)
@@ -239,7 +235,7 @@ def run_arm(arm: ArmConfig, arm_index: int, exp: ExperimentConfig, splits,
         pre_hist.to_csv(pre_path)
         history_paths["pretrain"] = pre_path
         model, hist = fine_tune(ckpt, (train_inputs, train_y), (val_inputs, val_y),
-                                tcfg, artifact, head=head)
+                                tcfg, artifact, head=spec.head)
     else:
         model = build_model(spec, seed=seed)
         model, hist = train_supervised(model, (train_inputs, train_y),
@@ -272,13 +268,14 @@ def run_experiment(cfg: dict, out_dir) -> dict:
     t_start = time.perf_counter()
 
     splits, artifact = prepare(exp)
+    configs = [_arm_configs(arm, i, exp, artifact) for i, arm in enumerate(exp.arms)]
     artifact.save(os.path.join(out_dir, "preprocess.json"))
 
     arms = {}
     timing = {}
-    for i, arm in enumerate(exp.arms):
+    for arm, (spec, tcfg) in zip(exp.arms, configs):
         t0 = time.perf_counter()
-        arms[arm.name] = run_arm(arm, i, exp, splits, artifact, out_dir)
+        arms[arm.name] = run_arm(arm, spec, tcfg, splits, artifact, out_dir)
         timing[arm.name] = time.perf_counter() - t0
 
     report = {
@@ -307,9 +304,7 @@ def run_experiment(cfg: dict, out_dir) -> dict:
 
 
 def write_report(report: dict, out_dir) -> None:
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "report.json"), report)
     with open(os.path.join(out_dir, "metrics.csv"), "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -332,7 +327,8 @@ def ablate_towers(cfg: dict, out_dir) -> dict:
         raise ConfigError("tower ablation needs a twin_tower arm")
     # shared seed and data: same per-arm train seed for every mask
     train = {"seed": _arm_seed(exp.seed, 0), **base.train}
-    arms = tuple(replace(base, name=f"{base.name}_{mask}", tower_mask=mask, train=train)
+    arms = tuple(replace(base, name=f"{base.name}_{mask}",
+                         model={**base.model, "tower_mask": mask}, train=train)
                  for mask in TOWER_MASKS)
     return run_experiment({**cfg, "arms": [arm.to_json() for arm in arms]}, out_dir)
 
@@ -359,14 +355,16 @@ def sweep(cfg: dict, grid: dict, out_dir, budget: int | None = None) -> dict:
     base = exp.arms[0]
     model_keys = {f.name for f in fields(ModelSpec)}
     splits, artifact = prepare(exp)
+    points = _grid_points(grid, budget, exp.seed)
+    arms = [replace(base, name=f"sweep_{i:03d}",
+                    model={**base.model, **{k: v for k, v in p.items() if k in model_keys}},
+                    train={**base.train, **{k: v for k, v in p.items() if k not in model_keys}})
+            for i, p in enumerate(points)]
+    configs = [_arm_configs(arm, 100 + i, exp, artifact) for i, arm in enumerate(arms)]
 
     results = []
-    for i, point in enumerate(_grid_points(grid, budget, exp.seed)):
-        model = {k: v for k, v in point.items() if k in model_keys}
-        train = {k: v for k, v in point.items() if k not in model_keys}
-        arm = replace(base, name=f"sweep_{i:03d}", model={**base.model, **model},
-                      train={**base.train, **train, "seed": _arm_seed(exp.seed, 100 + i)})
-        res = run_arm(arm, 100 + i, exp, splits, artifact, out_dir)
+    for point, arm, (spec, tcfg) in zip(points, arms, configs):
+        res = run_arm(arm, spec, tcfg, splits, artifact, out_dir)
         results.append({"point": point, "arm": arm.name,
                         "val_metric": res["val_metric"], "test": res})
 
@@ -384,7 +382,5 @@ def sweep(cfg: dict, grid: dict, out_dir, budget: int | None = None) -> dict:
         },
         "timing": {"created": time.strftime("%Y-%m-%dT%H:%M:%S")},
     }
-    with open(os.path.join(out_dir, "sweep_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "sweep_report.json"), report)
     return report

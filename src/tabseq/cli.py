@@ -9,14 +9,14 @@ stores them unscaled.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import bench
-from .errors import ConfigError, TabseqError
+from .config import read_json, write_json
+from .errors import ConfigError, SchemaMismatch, TabseqError
 from .models import TOWER_MASKS, build_model
 from .preprocess import PreprocessArtifact, fit_preprocess
 from .schema import Dataset, Schema, impute_missing, load_csv, make_windows, save_csv
@@ -41,14 +41,8 @@ from .training import (
 from .upsample import UPSAMPLE_METHODS
 
 
-def _load_data(args) -> Dataset:
-    schema = Schema.load(args.schema)
-    return impute_missing(load_csv(args.data, schema))
-
-
 def cmd_generate(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = GenConfig.from_json(json.load(fh))
+    cfg = GenConfig.from_json(read_json(args.config))
     gen = generate_fraud_dataset if args.task == "fraud" else generate_regression_dataset
     dataset = gen(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -59,7 +53,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    dataset = _load_data(args)
+    dataset = impute_missing(load_csv(args.data, Schema.load(args.schema)))
     train_set, _, _ = split_entity_names({r.entity for r in dataset.records},
                                          args.val_fraction, args.test_fraction, args.seed)
     train_data = Dataset(dataset.schema,
@@ -70,20 +64,20 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _windows(args, rule=None):
-    return make_windows(_load_data(args), args.window, args.stride,
-                        rule or TASKS[args.task][0])
+def _windows(args, artifact: PreprocessArtifact, rule=None):
+    if Schema.load(args.schema) != artifact.schema:
+        raise SchemaMismatch(f"{args.schema} is not the schema of {args.artifact}")
+    dataset = impute_missing(load_csv(args.data, artifact.schema))
+    return make_windows(dataset, args.window, args.stride, rule or TASKS[args.task][0])
 
 
 def cmd_pretrain(args) -> int:
     preset = load_transformer_preset(args.preset)
-    args.window = args.window or preset["window_size"]
-    args.stride = args.stride or preset.get("stride") or 1
     artifact = PreprocessArtifact.load(args.artifact)
     sizes = {k: v for k, v in (("hidden", args.hidden), ("heads", args.heads)) if v}
     spec = preset_model_spec(preset, n=args.window, m=artifact.schema.n_features,
                              head="mlm", **sizes)
-    ids, raw = encode_inputs(_windows(args, "none"), artifact, spec.family)
+    ids, raw = encode_inputs(_windows(args, artifact, "none"), artifact, spec.family)
     cfg = preset_train_config(preset, seed=args.seed, epochs=args.epochs, patience=None)
     model = build_model(spec, seed=args.seed, vocab=artifact.vocab)
     model, history = pretrain_mlm(model, ids, raw, cfg)
@@ -104,9 +98,12 @@ def _experiment_config(args) -> dict:
 
 def cmd_train(args) -> int:
     cfg = _experiment_config(args)
-    arm_flags = ("preset", "upsample", "smote_k", "target_ratio", "tower_mask")
+    arm_flags = ("preset", "upsample", "smote_k", "target_ratio")
     overrides = {k: v for k, v in vars(args).items() if k in arm_flags and v is not None}
-    cfg["arms"] = [{**arm, **overrides} for arm in cfg["arms"]]
+    for arm in cfg["arms"]:
+        arm.update(overrides)
+        if args.tower_mask is not None:
+            arm["model"] = {**arm.get("model", {}), "tower_mask": args.tower_mask}
     _print_arm_table(bench.run_experiment(cfg, args.out))
     return 0
 
@@ -115,7 +112,7 @@ def cmd_finetune(args) -> int:
     artifact = PreprocessArtifact.load(args.artifact)
     model = restore_model(args.checkpoint, artifact, head=TASKS[args.task][1], seed=args.seed)
     family = model.spec.family
-    train_w, val_w, _ = split_entities(_windows(args), args.val_fraction,
+    train_w, val_w, _ = split_entities(_windows(args, artifact), args.val_fraction,
                                        args.test_fraction, args.seed)
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed)
@@ -136,7 +133,7 @@ def cmd_evaluate(args) -> int:
     if model.spec.head != head:
         raise ConfigError(f"checkpoint has a {model.spec.head!r} head; "
                           f"--task {args.task} needs {head!r}")
-    windows = _windows(args)
+    windows = _windows(args, artifact)
     scores = predict_scores(model, encode_inputs(windows, artifact, model.spec.family))
     result = evaluate_scores(scores, window_labels(windows), head)
     if result.pop("tie_warning", False):
@@ -150,9 +147,7 @@ def cmd_evaluate(args) -> int:
     else:
         print(f"RMSE {result['rmse']:.4f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, result)
     return 0
 
 
@@ -162,17 +157,15 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.grid, encoding="utf-8") as fh:
-        grid = json.load(fh)
-    report = bench.sweep(_experiment_config(args), grid, args.out, budget=args.budget)
+    report = bench.sweep(_experiment_config(args), read_json(args.grid), args.out,
+                         budget=args.budget)
     best = report["deterministic"]["best"]
     print(f"best point {best['point']} (val metric {best['val_metric']:.4f})")
     return 0
 
 
 def cmd_report(args) -> int:
-    with open(args.report, encoding="utf-8") as fh:
-        report = json.load(fh)
+    report = read_json(args.report)
     _print_arm_table(report)
     if args.out:
         bench.write_report(report, args.out)
@@ -198,16 +191,22 @@ def _print_arm_table(report: dict) -> None:
                   "rank metrics depend on stable input order")
 
 
-def _add_common_data_args(p):
+def _add_data_args(p):
     p.add_argument("--data", required=True, help="CSV data file")
     p.add_argument("--schema", required=True, help="schema JSON file")
+    p.add_argument("--seed", type=int, default=bench.ExperimentConfig.seed)
+    p.add_argument("--val-fraction", type=float, default=bench.ExperimentConfig.val_fraction,
+                   dest="val_fraction")
+    p.add_argument("--test-fraction", type=float, default=bench.ExperimentConfig.test_fraction,
+                   dest="test_fraction")
+
+
+def _add_common_data_args(p):
+    _add_data_args(p)
     p.add_argument("--artifact", required=True, help="preprocessing artifact JSON")
-    p.add_argument("--task", choices=tuple(TASKS), default="fraud")
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--stride", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--val-fraction", type=float, default=0.15, dest="val_fraction")
-    p.add_argument("--test-fraction", type=float, default=0.15, dest="test_fraction")
+    p.add_argument("--task", choices=tuple(TASKS), default=bench.ExperimentConfig.task)
+    p.add_argument("--window", type=int, default=bench.ExperimentConfig.window_size)
+    p.add_argument("--stride", type=int, default=bench.ExperimentConfig.stride)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,28 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic dataset")
     p.add_argument("--config", required=True, help="generator config JSON")
-    p.add_argument("--task", choices=tuple(TASKS), default="fraud")
+    p.add_argument("--task", choices=tuple(TASKS), default=bench.ExperimentConfig.task)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("preprocess", help="fit quantizers/vocabulary/stats")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--bins", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--val-fraction", type=float, default=0.15, dest="val_fraction")
-    p.add_argument("--test-fraction", type=float, default=0.15, dest="test_fraction")
+    _add_data_args(p)
+    p.add_argument("--bins", type=int, default=bench.ExperimentConfig.bins)
     p.add_argument("--out", required=True, help="artifact JSON path")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("pretrain", help="masked-cell pretraining")
     _add_common_data_args(p)
     p.add_argument("--preset", required=True)
-    p.add_argument("--epochs", type=int, default=3)
+    p.add_argument("--epochs", type=int, default=bench.PretrainConfig.epochs)
     p.add_argument("--hidden", type=int, default=None)
     p.add_argument("--heads", type=int, default=None)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.set_defaults(func=cmd_pretrain, window=None, stride=None)
+    p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="run all arms of an experiment config")
     p.add_argument("--config", required=True, help="experiment config JSON")
@@ -249,17 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upsample", choices=UPSAMPLE_METHODS, default=None)
     p.add_argument("--smote-k", type=int, default=None, dest="smote_k")
     p.add_argument("--target-ratio", type=float, default=None, dest="target_ratio")
-    p.add_argument("--tower-mask", choices=TOWER_MASKS,
-                   default=None, dest="tower_mask")
+    p.add_argument("--tower-mask", choices=TOWER_MASKS, default=None, dest="tower_mask")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("finetune", help="fine-tune a pretrained checkpoint")
     _add_common_data_args(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
-    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, dest="batch_size")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--out", required=True, help="fine-tuned checkpoint path")
     p.set_defaults(func=cmd_finetune)
 

@@ -6,10 +6,27 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 import types
 import typing
 
 from .errors import ConfigError
+
+
+def read_json(path):
+    """The JSON document at ``path``; one that does not parse is a ``ConfigError``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: not a JSON document ({exc})") from None
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` indented by 2, keys sorted, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 class JsonConfig:

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import read_json, write_json
 from .errors import FieldKindError, RangeError, ShapeError
 from .schema import MISSING_CATEGORY, Dataset, FieldKind, Schema, SequenceWindow
 
@@ -395,14 +396,11 @@ class PreprocessArtifact:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "PreprocessArtifact":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 def fit_preprocess(d: Dataset, bins: int = 32) -> PreprocessArtifact:

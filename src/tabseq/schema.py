@@ -7,13 +7,12 @@ for numerical cells, and ``None`` for missing cells.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .config import JsonConfig
+from .config import JsonConfig, read_json, write_json
 from .errors import EmptyResult, ParseError, RangeError, SchemaMismatch
 
 MISSING_CATEGORY = "__MISSING__"
@@ -91,14 +90,11 @@ class Schema(JsonConfig):
         return self.fields[self.index_of(name)]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "Schema":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -171,40 +167,43 @@ def load_csv(path, schema: Schema) -> Dataset:
     Empty cells become missing values; missing cells in non-nullable fields
     are rejected.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch("empty CSV file")
-        declared = [f.name for f in schema.fields]
-        if sorted(header) != sorted(declared):
-            unknown = set(header) - set(declared)
-            absent = set(declared) - set(header)
-            raise SchemaMismatch(
-                f"header mismatch: unknown columns {sorted(unknown)}, missing columns {sorted(absent)}"
-            )
-        col_of = {name: header.index(name) for name in declared}
-        ent_i = col_of[schema.entity_key]
-        time_i = col_of[schema.time_key]
-
-        records = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
-            values = []
-            for spec in schema.fields:
-                cell = row[col_of[spec.name]]
-                v = _parse_cell(cell, spec, row_no)
-                if v is None and not spec.nullable:
-                    raise ParseError(f"missing value in non-nullable field {spec.name!r}", row=row_no)
-                values.append(v)
-            entity = row[ent_i]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                time_index = int(float(row[time_i]))
-            except ValueError:
-                raise ParseError(f"non-integer time index {row[time_i]!r}", row=row_no)
-            records.append(Record(tuple(values), entity, time_index))
+                header = next(reader)
+            except StopIteration:
+                raise SchemaMismatch("empty CSV file")
+            declared = [f.name for f in schema.fields]
+            if sorted(header) != sorted(declared):
+                unknown = set(header) - set(declared)
+                absent = set(declared) - set(header)
+                raise SchemaMismatch(
+                    f"header mismatch: unknown columns {sorted(unknown)}, missing columns {sorted(absent)}"
+                )
+            col_of = {name: header.index(name) for name in declared}
+            ent_i = col_of[schema.entity_key]
+            time_i = col_of[schema.time_key]
+
+            records = []
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
+                values = []
+                for spec in schema.fields:
+                    cell = row[col_of[spec.name]]
+                    v = _parse_cell(cell, spec, row_no)
+                    if v is None and not spec.nullable:
+                        raise ParseError(f"missing value in non-nullable field {spec.name!r}", row=row_no)
+                    values.append(v)
+                entity = row[ent_i]
+                try:
+                    time_index = int(float(row[time_i]))
+                except (ValueError, OverflowError):
+                    raise ParseError(f"non-integer time index {row[time_i]!r}", row=row_no)
+                records.append(Record(tuple(values), entity, time_index))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"CSV file is not UTF-8 text: {exc.reason}") from None
 
     records.sort(key=lambda r: (r.entity, r.time_index))
     return Dataset(schema, tuple(records))
@@ -220,10 +219,8 @@ def save_csv(d: Dataset, path) -> None:
                              for v in rec.values])
 
 
-def impute_missing(d: Dataset, policy: str = "zero") -> Dataset:
+def impute_missing(d: Dataset) -> Dataset:
     """Replace missing cells: numerical -> 0.0, categorical -> MISSING_CATEGORY."""
-    if policy != "zero":
-        raise RangeError(f"unknown imputation policy {policy!r}")
     out = []
     for rec in d.records:
         if all(v is not None for v in rec.values):

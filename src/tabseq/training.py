@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import JsonConfig
-from .errors import ConfigError, DegenerateLabels, DivergenceError, VocabularyMismatch
+from .errors import ConfigError, DegenerateLabels, DivergenceError, RangeError, VocabularyMismatch
 from .metrics import f1, rank_metrics, rmse, tie_fraction
 from .models import HierarchicalModel, ModelSpec, build_model
 from .nn import Adam, cross_entropy, mse
@@ -169,9 +169,9 @@ def _scores(model, logits: np.ndarray) -> np.ndarray:
     return logits.reshape(-1)
 
 
-def predict_scores(model, inputs, batch_size: int = 512) -> np.ndarray:
+def predict_scores(model, inputs) -> np.ndarray:
     """Positive-class probability (binary head) or raw prediction (regressor)."""
-    batches = _logits(model, inputs, batch_size)
+    batches = _logits(model, inputs)
     return np.concatenate([_scores(model, logits) for logits in batches])
 
 
@@ -304,6 +304,8 @@ def restore_model(path, artifact: PreprocessArtifact, head: str | None = None,
     with its model shape.
     """
     header, state = load_checkpoint(path)
+    if not {"vocab_hash", "model_spec"} <= header.keys():
+        raise RangeError("checkpoint header needs 'vocab_hash' and 'model_spec'")
     if header["vocab_hash"] != artifact.content_hash():
         raise VocabularyMismatch(
             "checkpoint was built against a different preprocessing artifact"
@@ -373,28 +375,24 @@ def load_transformer_preset(name: str) -> dict:
 
 
 def preset_train_config(preset: dict, **overrides) -> TrainConfig:
-    """Map a preset document's optimisation fields onto a TrainConfig; its
-    architecture and windowing fields belong to ModelSpec and the experiment."""
-    kwargs = dict(
-        learning_rate=preset["learning_rate"],
-        optimizer=preset.get("optimizer", "adam").lower(),
-        batch_size=preset["batch_size"],
-        mlm_probability=preset.get("mlm_probability"),
-    )
-    if preset.get("seed") is not None:
-        kwargs["seed"] = preset["seed"]
-    kwargs.update(overrides)
-    return TrainConfig.from_json(kwargs)
+    """Map a preset document's optimisation fields onto a TrainConfig; no entry
+    point applies its window size, stride and seed (the paper's values)."""
+    return TrainConfig.from_json({
+        "learning_rate": preset["learning_rate"],
+        "optimizer": preset.get("optimizer", "adam").lower(),
+        "batch_size": preset["batch_size"],
+        "mlm_probability": preset.get("mlm_probability"),
+        **overrides,
+    })
 
 
 def preset_model_spec(preset: dict, **overrides) -> ModelSpec:
     """Map a preset document's architecture fields onto a ModelSpec; the
     window shape and the head come from the data and the task."""
-    kwargs = dict(
-        family=preset["architecture"],
-        hidden=preset["hidden_units"],
-        heads=preset["attention_heads"],
-        dropout=preset["dropout"],
-    )
-    kwargs.update(overrides)
-    return ModelSpec.from_json(kwargs)
+    return ModelSpec.from_json({
+        "family": preset["architecture"],
+        "hidden": preset["hidden_units"],
+        "heads": preset["attention_heads"],
+        "dropout": preset["dropout"],
+        **overrides,
+    })

@@ -125,11 +125,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="default_lightgbm"):
             ExperimentConfig.from_json(cfg)
 
-    def test_bad_tower_mask(self):
+    def test_bad_tower_mask(self, tmp_path):
         cfg = base_config()
-        cfg["arms"][1]["tower_mask"] = "sideways"
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_json(cfg)
+        cfg["arms"][1]["model"]["tower_mask"] = "sideways"
+        with pytest.raises(ConfigError, match="sideways"):
+            run_experiment(cfg, tmp_path)
 
     def test_bad_upsample(self):
         cfg = base_config()
@@ -145,6 +145,7 @@ class TestValidateConfig:
         (2, {"pretrain": {"epoch": 1}}, "epoch"),
         (None, {"windowsize": 3}, "windowsize"),
         (1, {"towermask": "time"}, "towermask"),
+        (1, {"tower_mask": "time"}, "tower_mask"),
         (0, {"pretrain": {"epochs": 1}}, "pretrain"),
         (1, {"pretrain": {}}, "pretrain"),
         (0, {"smote_k": 3}, "smote_k"),
@@ -152,15 +153,26 @@ class TestValidateConfig:
         (0, {"target_ratio": 0.5}, "target_ratio"),
         (None, {"seed": "7"}, "seed"),
         (None, {"window_size": 2.5}, "window_size"),
-    ], ids=["pretrain-typo", "experiment-typo", "arm-typo", "pretrain-on-vanilla",
-            "pretrain-on-twin", "smote_k-without-upsample", "smote_k-on-duplicate",
-            "target_ratio-without-upsample", "string-seed", "float-window"])
+    ], ids=["pretrain-typo", "experiment-typo", "arm-typo", "arm-tower_mask",
+            "pretrain-on-vanilla", "pretrain-on-twin", "smote_k-without-upsample",
+            "smote_k-on-duplicate", "target_ratio-without-upsample", "string-seed",
+            "float-window"])
     def test_unused_or_wrong_key_fails_before_training(self, arm, patch, key, tmp_path):
         cfg = base_config()
         (cfg if arm is None else cfg["arms"][arm]).update(patch)
         with pytest.raises(ConfigError, match=key):
             run_experiment(cfg, tmp_path)
         assert not (tmp_path / "preprocess.json").exists()
+
+    def test_bad_arm_block_fails_before_any_arm_trains(self, tmp_path):
+        cfg = base_config()
+        cfg["arms"][2]["model"]["hiden"] = 8
+        with pytest.raises(ConfigError, match="'hiden' \\(arm 'hier'\\)"):
+            run_experiment(cfg, tmp_path / "exp")
+        cfg = base_config(arms=[base_config()["arms"][0]])
+        with pytest.raises(ConfigError, match="epochs.*\\(arm 'sweep_001'\\)"):
+            sweep(cfg, {"epochs": [1, 0]}, tmp_path / "sweep")
+        assert not any((tmp_path / "exp").iterdir()) and not any((tmp_path / "sweep").iterdir())
 
     def test_upsample_on_regression_rejected(self, tmp_path):
         cfg = base_config(task="regression")
@@ -205,6 +217,18 @@ class TestArmConfig:
         assert main(["train", "--config", str(cfg_path), "--tower-mask", "time",
                      "--out", str(tmp_path / "run")]) == 1
         assert "error: tower mask 'time' needs the twin_tower family" in capsys.readouterr().err
+
+    def test_tower_mask_flag_overrides_model_block(self, pipeline, tmp_path):
+        _, data_dir, _ = pipeline
+        cfg = csv_config(data_dir, 1)  # the twin-tower arm
+        cfg["arms"][0]["model"]["tower_mask"] = "time"
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--tower-mask", "feature",
+                     "--out", str(out)]) == 0
+        header, _ = load_checkpoint(out / "twin_final.ckpt")
+        assert header["model_spec"]["tower_mask"] == "feature"
 
     @pytest.mark.parametrize("family", ["hierarchical", "hierarchical_joint"])
     def test_smote_on_token_arm_fails_train(self, family, pipeline, tmp_path, capsys):
@@ -357,6 +381,14 @@ class TestAblation:
         for name, res in arms.items():
             assert res["model_spec"]["family"] == "twin_tower"
 
+    def test_masks_override_model_block(self, tmp_path):
+        cfg = base_config()
+        cfg["arms"] = [cfg["arms"][1]]
+        cfg["arms"][0]["model"]["tower_mask"] = "time"
+        arms = ablate_towers(cfg, tmp_path)["deterministic"]["arms"]
+        assert {name: res["model_spec"]["tower_mask"] for name, res in arms.items()} == \
+            {"twin_both": "both", "twin_time": "time", "twin_feature": "feature"}
+
     def test_requires_twin_tower_arm(self, tmp_path):
         cfg = base_config()
         cfg["arms"] = [cfg["arms"][0]]
@@ -398,6 +430,12 @@ class TestSweep:
         for point in report["deterministic"]["points"]:
             header, _ = load_checkpoint(tmp_path / f"{point['arm']}_final.ckpt")
             assert header["model_spec"]["mlm_lambda"] == point["point"]["mlm_lambda"]
+
+    def test_grid_over_seed(self, tmp_path):
+        report = sweep(self.sweep_config(), {"seed": [1, 2]}, tmp_path)
+        seeds = [load_checkpoint(tmp_path / f"{point['arm']}_final.ckpt")[0]["seed"]
+                 for point in report["deterministic"]["points"]]
+        assert seeds == [1, 2]
 
     def test_val_metric_from_training_history(self, tmp_path):
         report = sweep(self.sweep_config(), {"learning_rate": [1e-3, 1e-2]}, tmp_path)
@@ -532,6 +570,64 @@ class TestCli:
                      "--artifact", str(artifact), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "out")]) == 1
         assert "error: checkpoint was built against a different" in capsys.readouterr().err
+
+    def test_evaluate_rejects_other_schema(self, pipeline, trained_run, tmp_path, capsys):
+        # the artifact's schema reads the CSV; a --schema that differs is refused
+        _, data_dir, _ = pipeline
+        _, out = trained_run
+        doc = json.loads((data_dir / "schema.json").read_text())
+        names = [f["name"] for f in doc["fields"]]
+        i, j = names.index("num_0"), names.index("num_1")
+        doc["fields"][i], doc["fields"][j] = doc["fields"][j], doc["fields"][i]
+        (tmp_path / "schema.json").write_text(json.dumps(doc))
+        assert main(self.evaluate_args(data_dir / "data.csv", tmp_path, out)) == 1
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / 'schema.json'} is not the schema of {out / 'preprocess.json'}\n"
+
+    def test_pretrain_windows_at_experiment_default(self, pipeline, tmp_path):
+        # a preset's window_size (12 for default_tabbert) is not a pretrain default
+        _, data_dir, artifact = pipeline
+        ckpt = tmp_path / "pre.ckpt"
+        data = ["--data", str(data_dir / "data.csv"), "--schema", str(data_dir / "schema.json"),
+                "--artifact", str(artifact)]
+        assert main(["pretrain", *data, "--preset", "default_tabbert", "--hidden", "8",
+                     "--heads", "2", "--epochs", "1", "--out", str(ckpt)]) == 0
+        assert load_checkpoint(ckpt)[0]["model_spec"]["n"] == ExperimentConfig.window_size
+        assert main(["finetune", *data, "--checkpoint", str(ckpt), "--epochs", "1",
+                     "--out", str(tmp_path / "tuned.ckpt")]) == 0
+
+    @pytest.mark.parametrize("command, flag", [
+        ("generate", "--config"), ("preprocess", "--schema"), ("pretrain", "--artifact"),
+        ("pretrain", "--schema"), ("train", "--config"), ("finetune", "--artifact"),
+        ("evaluate", "--artifact"), ("evaluate", "--schema"), ("ablate", "--config"),
+        ("sweep", "--config"), ("sweep", "--grid"), ("report", "--report"),
+    ])
+    def test_truncated_json_file(self, command, flag, pipeline, trained_run, tmp_path,
+                                 capsys):
+        root, data_dir, artifact = pipeline
+        cfg_path, run = trained_run
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"learning_rate": [1e-3]}))
+        data = ["--data", str(data_dir / "data.csv"), "--schema", str(data_dir / "schema.json")]
+        scored = [*data, "--artifact", str(run / "preprocess.json"),
+                  "--checkpoint", str(run / "vanilla_final.ckpt")]
+        out = ["--out", str(tmp_path / "out")]
+        args = {
+            "generate": ["--config", str(root / "gen.json"), *out],
+            "preprocess": [*data, *out],
+            "pretrain": [*data, "--artifact", str(artifact), "--preset", "fraud_tabbert", *out],
+            "train": ["--config", str(cfg_path), *out],
+            "finetune": [*scored, *out],
+            "evaluate": [*scored, *out],
+            "ablate": ["--config", str(cfg_path), *out],
+            "sweep": ["--config", str(cfg_path), "--grid", str(grid), *out],
+            "report": ["--report", str(run / "report.json")],
+        }[command]
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"data": ')
+        args[args.index(flag) + 1] = str(bad)
+        assert main([command, *args]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_pretrain_rejects_non_transformer_preset(self, pipeline, tmp_path, capsys):
         _, data_dir, artifact = pipeline

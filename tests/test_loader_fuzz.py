@@ -1,5 +1,5 @@
-"""Malformed schema, preprocessing-artifact and checkpoint documents raise a
-``TabseqError`` subclass, never a raw exception."""
+"""Malformed schema, preprocessing-artifact and checkpoint documents and CSV
+files raise a ``TabseqError`` subclass, never a raw exception."""
 
 import json
 
@@ -12,10 +12,13 @@ from conftest import json_values, mutated, small_schema
 from tabseq.errors import TabseqError
 from tabseq.nn.checkpoint import load_checkpoint, save_checkpoint
 from tabseq.preprocess import PreprocessArtifact, fit_preprocess
-from tabseq.schema import Schema, impute_missing
+from tabseq.schema import Schema, impute_missing, load_csv
 from tabseq.synthgen import GenConfig, generate_fraud_dataset
 
 SCHEMA_DOC = small_schema(nullable=True).to_json()
+CSV_SCHEMA = small_schema(nullable=True)
+CSV_FILE = (b"entity_id,time_idx,label,amount,channel\n"
+            b"e1,0,0.0,1.25,A\ne1,1,1.0,,B\ne2,0,0.0,-3.5,\n")
 ARTIFACT_DOC = fit_preprocess(impute_missing(generate_fraud_dataset(
     GenConfig(entities=3, rows_per_entity=4, numerical_fields=1,
               categorical_cardinalities=(2,), seed=1))), bins=2).to_json()
@@ -57,3 +60,24 @@ def test_checkpoint_file(checkpoint_header, tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
     path.write_bytes(line + b"\n" + data.draw(st.binary(max_size=40)))
     _parses_or_tabseq_error(load_checkpoint, path)
+
+
+@st.composite
+def mutated_bytes(draw, data: bytes):
+    """``data`` with one to three short spans replaced by a few bytes: any
+    bytes, or ones the CSV format or a numeric cell gives meaning to."""
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 6)))
+        insert = draw(st.binary(max_size=4) | st.sampled_from(
+            [b"", b",", b"\n", b"\r", b'"', b"inf", b"nan", b"1e400", b"\xff", b"\xc3"]))
+        data = data[:start] + insert + data[end:]
+    return data
+
+
+@given(mutated_bytes(CSV_FILE))
+@settings(max_examples=300, deadline=None)
+def test_csv_file(tmp_path_factory, csv_bytes):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+    path.write_bytes(csv_bytes)
+    _parses_or_tabseq_error(lambda p: load_csv(p, CSV_SCHEMA), path)

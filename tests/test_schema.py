@@ -115,6 +115,16 @@ class TestLoadCsv:
             load_csv(path, small_schema())
         assert exc.value.row == 3
 
+    def test_infinite_time_index_reports_row(self, tmp_path):
+        # a categorical time key skips the numeric cell check
+        schema = Schema((FieldSpec("e", FieldKind.CATEGORICAL),
+                         FieldSpec("t", FieldKind.CATEGORICAL),
+                         FieldSpec("x", FieldKind.NUMERICAL)), entity_key="e", time_key="t")
+        path = tmp_path / "d.csv"
+        path.write_text("e,t,x\ne1,inf,1.0\n")
+        with pytest.raises(ParseError, match="row 2: non-integer time index 'inf'"):
+            load_csv(path, schema)
+
     def test_save_load_round_trip(self, tmp_path):
         d = make_dataset([
             ("e1", 0, 0, 1.25, "A"),

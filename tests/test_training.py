@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from tabseq.errors import ConfigError, DivergenceError, ShapeError, VocabularyMismatch
+from tabseq.errors import ConfigError, DivergenceError, RangeError, ShapeError, VocabularyMismatch
 from tabseq.metrics import f1, rmse
 from tabseq.models import ModelSpec, build_model
 from tabseq.nn import cross_entropy, load_checkpoint, mse, save_checkpoint
@@ -19,6 +21,7 @@ from tabseq.training import (
     predict_scores,
     preset_train_config,
     pretrain_mlm,
+    restore_model,
     save_model,
     split_entities,
     train_supervised,
@@ -337,6 +340,19 @@ class TestPretrainFineTune:
         with pytest.raises(VocabularyMismatch):
             fine_tune(ckpt, ((ids, None), y), None, TrainConfig(epochs=1), other)
 
+
+    @pytest.mark.parametrize("key", ["vocab_hash", "model_spec"])
+    def test_restore_needs_header_key(self, key, tmp_path, fraud_dataset):
+        art, ids, _, _ = token_fixture(fraud_dataset)
+        spec = ModelSpec("vanilla", 5, ids.shape[2], hidden=8, heads=2, layers=1)
+        ckpt = tmp_path / "model.ckpt"
+        save_model(ckpt, build_model(spec, seed=0), art, seed=0)
+        line, blob = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        del header[key]
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(RangeError, match=key):
+            restore_model(ckpt, art)
 
     @pytest.mark.parametrize("fault", ["missing", "reshaped"])
     def test_fine_tune_checks_encoder_state(self, fault, tmp_path, fraud_dataset):
