@@ -181,15 +181,24 @@ def prepare(exp: ExperimentConfig):
 
 def _arm_configs(arm: ArmConfig, index: int, exp: ExperimentConfig, artifact: PreprocessArtifact):
     """The arm's ModelSpec and TrainConfig: its preset's values, overridden by its
-    blocks, then by the window shape, the task head and (unless set) the arm seed."""
-    spec = {"family": arm.architecture, **arm.model, "n": exp.window_size,
-            "m": artifact.schema.n_features, "head": TASKS[exp.task][1]}
+    blocks, then by the window shape, the task head and (unless set) the arm seed;
+    and, for a hierarchical family, the TrainConfig of its pretraining (else None)."""
+    model = {"family": arm.architecture, **arm.model, "n": exp.window_size,
+             "m": artifact.schema.n_features, "head": TASKS[exp.task][1]}
     train = {"seed": _arm_seed(exp.seed, index), **arm.train}
     try:
         if arm.preset is None:
-            return ModelSpec.from_json(spec), TrainConfig.from_json(train)
-        preset = load_transformer_preset(arm.preset)
-        return preset_model_spec(preset, **spec), preset_train_config(preset, **train)
+            spec, tcfg = ModelSpec.from_json(model), TrainConfig.from_json(train)
+        else:
+            preset = load_transformer_preset(arm.preset)
+            spec, tcfg = preset_model_spec(preset, **model), preset_train_config(preset, **train)
+        if not spec.family.startswith("hierarchical"):
+            return spec, tcfg, None
+        pre = arm.pretrain or PretrainConfig()
+        mlm_p = (pre.mlm_probability if pre.mlm_probability is not None
+                 else tcfg.mlm_probability or 0.15)
+        return spec, tcfg, replace(tcfg, epochs=pre.epochs, mlm_probability=mlm_p,
+                                   patience=None)
     except ConfigError as exc:
         raise ConfigError(f"{exc} (arm {arm.name!r})") from None
 
@@ -210,9 +219,10 @@ def _upsample_training_data(arm: ArmConfig, inputs, y, seed):
     return index_inputs(inputs, idx), y[idx]
 
 
-def run_arm(arm: ArmConfig, spec: ModelSpec, tcfg: TrainConfig, splits,
-            artifact: PreprocessArtifact, out_dir) -> dict:
-    """Train and evaluate one arm with its resolved configs; returns its report entry."""
+def run_arm(arm: ArmConfig, spec: ModelSpec, tcfg: TrainConfig, pre_cfg: TrainConfig | None,
+            splits, artifact: PreprocessArtifact, out_dir) -> dict:
+    """Train and evaluate one arm with its resolved configs, pretraining first
+    when ``pre_cfg`` is given; returns its report entry."""
     seed, name = tcfg.seed, arm.name
 
     train_inputs, val_inputs, test_inputs = (encode_inputs(ws, artifact, spec.family)
@@ -221,12 +231,8 @@ def run_arm(arm: ArmConfig, spec: ModelSpec, tcfg: TrainConfig, splits,
     train_inputs, train_y = _upsample_training_data(arm, train_inputs, train_y, seed)
 
     history_paths = {}
-    if spec.family.startswith("hierarchical"):
-        pre = arm.pretrain or PretrainConfig()
+    if pre_cfg is not None:
         model = build_model(replace(spec, head="mlm"), seed=seed, vocab=artifact.vocab)
-        mlm_p = (pre.mlm_probability if pre.mlm_probability is not None
-                 else tcfg.mlm_probability or 0.15)
-        pre_cfg = replace(tcfg, epochs=pre.epochs, mlm_probability=mlm_p, patience=None)
         ids, raw = train_inputs
         model, pre_hist = pretrain_mlm(model, ids, raw, pre_cfg)
         ckpt = os.path.join(out_dir, f"{name}_pretrained.ckpt")
@@ -273,9 +279,9 @@ def run_experiment(cfg: dict, out_dir) -> dict:
 
     arms = {}
     timing = {}
-    for arm, (spec, tcfg) in zip(exp.arms, configs):
+    for arm, arm_configs in zip(exp.arms, configs):
         t0 = time.perf_counter()
-        arms[arm.name] = run_arm(arm, spec, tcfg, splits, artifact, out_dir)
+        arms[arm.name] = run_arm(arm, *arm_configs, splits, artifact, out_dir)
         timing[arm.name] = time.perf_counter() - t0
 
     report = {
@@ -363,8 +369,8 @@ def sweep(cfg: dict, grid: dict, out_dir, budget: int | None = None) -> dict:
     configs = [_arm_configs(arm, 100 + i, exp, artifact) for i, arm in enumerate(arms)]
 
     results = []
-    for point, arm, (spec, tcfg) in zip(points, arms, configs):
-        res = run_arm(arm, spec, tcfg, splits, artifact, out_dir)
+    for point, arm, arm_configs in zip(points, arms, configs):
+        res = run_arm(arm, *arm_configs, splits, artifact, out_dir)
         results.append({"point": point, "arm": arm.name,
                         "val_metric": res["val_metric"], "test": res})
 

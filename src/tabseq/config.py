@@ -14,12 +14,15 @@ from .errors import ConfigError
 
 
 def read_json(path):
-    """The JSON document at ``path``; one that does not parse is a ``ConfigError``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """The JSON document at ``path``; a file that cannot be read or does not
+    parse is a ``ConfigError`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: not a JSON document ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not a JSON document ({exc})") from None
 
 
 def write_json(path, doc) -> None:

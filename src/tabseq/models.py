@@ -72,14 +72,17 @@ class ModelSpec(JsonConfig):
                               f"not {self.family!r}")
 
 
-def expected_attention_pairs(spec: ModelSpec, batch: int) -> int:
-    """Closed-form query-key pair count for one forward pass."""
+def expected_attention_pairs(spec: ModelSpec, batch: int, rows: int | None = None) -> int:
+    """Closed-form query-key pair count for one forward pass over ``batch``
+    windows. A hierarchical field encoder runs over ``rows`` rows: every row of
+    every window (``batch * n``) by default, the distinct rows under ``infer``."""
     n, m, h = spec.n, spec.m, spec.heads
     if spec.family == "vanilla":
         return batch * h * spec.layers * n * n
     if spec.family == "twin_tower":
         return batch * h * spec.layers * (n * n + m * m)
-    return batch * h * (spec.field_layers * n * m * m + spec.layers * n * n)
+    rows = batch * n if rows is None else rows
+    return h * (spec.field_layers * rows * m * m + spec.layers * batch * n * n)
 
 
 def _head_width(head: str) -> int:
@@ -191,7 +194,7 @@ class HierarchicalModel(Module):
                 if ft.kind is FieldKind.NUMERICAL]
 
     def _cell_embeddings(self, ids, raw, mask) -> Tensor:
-        emb = self.embed(ids)  # [B, N, M, H]
+        emb = self.embed(ids)  # [R, M, H]
         if not self.joint:
             return emb
         if raw is None:
@@ -199,26 +202,34 @@ class HierarchicalModel(Module):
         # numerical cells: raw value projection, except masked cells which
         # keep the MASK token embedding
         num_cols = self._numeric_columns()
-        value = Tensor(raw[..., None]) * self.value_w + self.value_b  # [B, N, M, H]
+        value = Tensor(raw[..., None]) * self.value_w + self.value_b  # [R, M, H]
         use_value = np.zeros(ids.shape, dtype=bool)
         use_value[..., num_cols] = True
         use_value &= ~mask
         sel = Tensor(use_value[..., None].astype(emb.data.dtype))
         return emb * (1.0 - sel) + value * sel
 
-    def encode(self, ids, raw=None, mask=None, train=False, rng=None):
-        """Returns (cell representations [B,N,M,H], row representations [B,N,H])."""
+    def _check_grid(self, ids) -> None:
         if ids.ndim != 3 or ids.shape[1:] != (self.spec.n, self.spec.m):
             raise ShapeError(
                 f"expected id grid [batch, {self.spec.n}, {self.spec.m}], got {ids.shape}"
             )
+
+    def _field_states(self, ids, raw, mask, p, rng) -> Tensor:
+        """Field-encoder outputs [R, M, H] for rows given as [R, M] arrays."""
+        h = self._cell_embeddings(ids, raw, mask) + self.field_pos
+        return self.field_encoder(h, self.counter, p, rng)
+
+    def encode(self, ids, raw=None, mask=None, train=False, rng=None):
+        """Returns (cell representations [B,N,M,H], row representations [B,N,H])."""
+        self._check_grid(ids)
         if mask is None:
             mask = np.zeros(ids.shape, dtype=bool)
         b, n, m = ids.shape
         p = self.spec.dropout if train else 0.0
-        h = self._cell_embeddings(ids, raw, mask) + self.field_pos
-        h = T.reshape(h, (b * n, m, self.spec.hidden))
-        h = self.field_encoder(h, self.counter, p, rng)
+        h = self._field_states(ids.reshape(b * n, m),
+                               None if raw is None else raw.reshape(b * n, m),
+                               mask.reshape(b * n, m), p, rng)
         cells = T.reshape(h, (b, n, m, self.spec.hidden))
         rows = T.tmean(cells, axis=2) + self.row_pos
         rows = self.seq_encoder(rows, self.counter, p, rng)
@@ -228,6 +239,28 @@ class HierarchicalModel(Module):
         """Pooled-sequence (CLS-style) forward for classification/regression."""
         _, rows = self.encode(ids, raw, mask, train, rng)
         return self.task_head(T.tmean(rows, axis=1))
+
+    def infer(self, ids, raw=None) -> np.ndarray:
+        """The logits of ``self(ids, raw)``, computed without a tape and with the
+        field encoder run once per distinct row of the batch: a row's pooled
+        embedding depends on that row alone, and with overlapping windows a row
+        appears in up to N of them. The joint family keys rows on their ids
+        and the bits of their raw values."""
+        self._check_grid(ids)
+        b, n, m = ids.shape
+        flat_ids = ids.reshape(b * n, m)
+        flat_raw = None if raw is None or not self.joint else raw.reshape(b * n, m)
+        key = flat_ids if flat_raw is None else \
+            np.concatenate([flat_ids, flat_raw.view(np.int64)], axis=1)
+        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        with T.no_grad():
+            cells = self._field_states(flat_ids[first],
+                                       None if flat_raw is None else flat_raw[first],
+                                       np.zeros((len(first), m), dtype=bool), 0.0, None)
+            pooled = T.tmean(cells, axis=1).data[inverse.reshape(-1)]
+            rows = Tensor(pooled.reshape(b, n, self.spec.hidden)) + self.row_pos
+            rows = self.seq_encoder(rows, self.counter, 0.0, None)
+            return self.task_head(T.tmean(rows, axis=1)).data
 
     def mlm_loss(self, ids, targets, mask, raw=None, train=False, rng=None) -> Tensor:
         """Reconstruction loss over masked cells.

@@ -43,10 +43,14 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Returns (header dict, params dict of float64 arrays)."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
+    """Returns (header dict, params dict of float64 arrays); a file that cannot
+    be read is a ``RangeError`` naming it."""
+    try:
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+            blob = fh.read()
+    except OSError as exc:
+        raise RangeError(f"{path}: {exc.strerror}") from None
     try:  # undecodable bytes, bad JSON and a bad tensor directory alike
         header = json.loads(header_line)
         if header.get("format") != FORMAT_TAG or header.get("version") != VERSION:

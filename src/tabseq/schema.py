@@ -165,7 +165,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     """Parse a header-first CSV into a Dataset sorted by (entity, time_index).
 
     Empty cells become missing values; missing cells in non-nullable fields
-    are rejected.
+    are rejected. A file that cannot be read is a ``ParseError`` naming it.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -202,6 +202,8 @@ def load_csv(path, schema: Schema) -> Dataset:
                 except (ValueError, OverflowError):
                     raise ParseError(f"non-integer time index {row[time_i]!r}", row=row_no)
                 records.append(Record(tuple(values), entity, time_index))
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"CSV file is not UTF-8 text: {exc.reason}") from None
 

@@ -154,10 +154,13 @@ def _supervised_loss(model, out, y):
 
 
 def _logits(model, inputs, batch_size: int = 512) -> list[np.ndarray]:
-    """Model outputs per batch of ``batch_size`` windows, computed without a tape."""
+    """Model outputs per batch of ``batch_size`` windows, computed without a tape;
+    a hierarchical model encodes each distinct row of a batch once."""
     n = len(inputs[0])
+    forward = model.infer if isinstance(model, HierarchicalModel) else \
+        (lambda *x: model(*x).data)
     with T.no_grad():  # a list, not a generator, so the tape is back on for the caller
-        return [model(*index_inputs(inputs, np.arange(start, min(start + batch_size, n)))).data
+        return [forward(*index_inputs(inputs, np.arange(start, min(start + batch_size, n))))
                 for start in range(0, n, batch_size)]
 
 

@@ -169,10 +169,16 @@ class TestValidateConfig:
         cfg["arms"][2]["model"]["hiden"] = 8
         with pytest.raises(ConfigError, match="'hiden' \\(arm 'hier'\\)"):
             run_experiment(cfg, tmp_path / "exp")
+        for key, value, match in [("mlm_probability", 1.5, "MLM probability"),
+                                  ("epochs", 0, "epochs")]:
+            cfg = base_config()
+            cfg["arms"][2]["pretrain"][key] = value
+            with pytest.raises(ConfigError, match=f"{match}.*\\(arm 'hier'\\)"):
+                run_experiment(cfg, tmp_path / f"pretrain-{key}")
         cfg = base_config(arms=[base_config()["arms"][0]])
         with pytest.raises(ConfigError, match="epochs.*\\(arm 'sweep_001'\\)"):
             sweep(cfg, {"epochs": [1, 0]}, tmp_path / "sweep")
-        assert not any((tmp_path / "exp").iterdir()) and not any((tmp_path / "sweep").iterdir())
+        assert not [entry for out in tmp_path.iterdir() for entry in out.iterdir()]
 
     def test_upsample_on_regression_rejected(self, tmp_path):
         cfg = base_config(task="regression")
@@ -628,6 +634,20 @@ class TestCli:
         args[args.index(flag) + 1] = str(bad)
         assert main([command, *args]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--config"), ("evaluate", "--data"), ("evaluate", "--artifact"),
+        ("evaluate", "--checkpoint"),
+    ])
+    def test_missing_file(self, command, flag, pipeline, trained_run, tmp_path, capsys):
+        _, data_dir, _ = pipeline
+        cfg_path, run = trained_run
+        args = {"train": ["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+                "evaluate": self.evaluate_args(data_dir / "data.csv", data_dir, run)}[command]
+        absent = tmp_path / "absent"
+        args[args.index(flag) + 1] = str(absent)
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {absent}: No such file or directory\n"
 
     def test_pretrain_rejects_non_transformer_preset(self, pipeline, tmp_path, capsys):
         _, data_dir, artifact = pipeline

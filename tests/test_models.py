@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,17 @@ def random_ids(vocab, batch, n, rng):
     for j, ft in enumerate(vocab.fields):
         ids[:, :, j] = rng.integers(ft.start, ft.stop, (batch, n))
     return ids
+
+
+def stride_one_windows(vocab, n_rows, n, rng):
+    """Windows of ``n`` rows at stride 1 over ``n_rows`` distinct rows of one
+    entity, with raw values: an inner row sits in ``n`` windows."""
+    combos = np.array(list(itertools.product(*(range(ft.start, ft.stop)
+                                               for ft in vocab.fields))))
+    rows = combos[rng.permutation(len(combos))[:n_rows]]
+    raw = rng.standard_normal(rows.shape)
+    idx = np.lib.stride_tricks.sliding_window_view(np.arange(n_rows), n)
+    return rows[idx], raw[idx]
 
 
 class TestModelSpec:
@@ -93,6 +106,16 @@ class TestAttentionAccounting:
         assert expected_attention_pairs(t, 4) == 4 * 2 * 2 * (25 + 9)
         h = ModelSpec("hierarchical", 5, 3, hidden=8, heads=2, layers=2, field_layers=1)
         assert expected_attention_pairs(h, 4) == 4 * 2 * (1 * 5 * 9 + 2 * 25)
+        assert expected_attention_pairs(h, 4, rows=7) == 2 * (1 * 7 * 9 + 4 * 2 * 25)
+
+    @pytest.mark.parametrize("family", ["hierarchical", "hierarchical_joint"])
+    def test_infer_counts_distinct_rows(self, family):
+        rng = np.random.default_rng(1)
+        spec = ModelSpec(family, 4, 3, hidden=8, heads=2, layers=2, field_layers=2)
+        model = build_model(spec, seed=0, vocab=small_vocab())
+        ids, raw = stride_one_windows(small_vocab(), 9, 4, rng)
+        model.infer(ids, raw)
+        assert model.counter.count == expected_attention_pairs(spec, len(ids), rows=9)
 
     def test_log_log_slopes(self):
         # each family's time/sequence attention stage scales as N^2; the
@@ -360,6 +383,36 @@ class TestNoGradForward:
         assert taped._parents
         assert free._parents == () and free._backward_fn is None
         assert np.array_equal(free.data, taped.data)
+
+
+class TestInfer:
+    @pytest.mark.parametrize("family", ["hierarchical", "hierarchical_joint"])
+    def test_equals_per_window_forward(self, family):
+        rng = np.random.default_rng(8)
+        spec = ModelSpec(family, 4, 3, hidden=8, heads=2, layers=1, dropout=0.2)
+        model = build_model(spec, seed=6, vocab=small_vocab())
+        ids, raw = stride_one_windows(small_vocab(), 12, 4, rng)
+        with T.no_grad():
+            expected = model(ids, raw=raw).data
+        assert np.array_equal(model.infer(ids, raw), expected)
+
+    @pytest.mark.parametrize("family, distinct", [("hierarchical", 4),
+                                                  ("hierarchical_joint", 8)])
+    def test_joint_keys_rows_on_raw_values(self, family, distinct):
+        # two windows with equal ids and different raw values: one set of rows
+        # for the token family, two for the joint family
+        rng = np.random.default_rng(9)
+        spec = ModelSpec(family, 4, 3, hidden=8, heads=2, layers=1)
+        model = build_model(spec, seed=6, vocab=small_vocab())
+        ids = np.repeat(stride_one_windows(small_vocab(), 4, 4, rng)[0], 2, axis=0)
+        raw = rng.standard_normal(ids.shape)
+        with T.no_grad():
+            expected = model(ids, raw=raw).data
+        model.counter.reset()
+        got = model.infer(ids, raw)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got[0], got[1]) == (family == "hierarchical")
+        assert model.counter.count == expected_attention_pairs(spec, 2, rows=distinct)
 
 
 class TestEndToEndGradients:

@@ -16,6 +16,7 @@ from tabseq.training import (
     TrainHistory,
     encode_inputs,
     fine_tune,
+    index_inputs,
     load_preset,
     mask_tokens,
     predict_scores,
@@ -285,6 +286,34 @@ class TestSinglePassValidation:
         model, hist = train_supervised(model, (inputs, y), (val_inputs, val_y), cfg)
         val_loss, val_metric = self.two_pass_reference(model, val_inputs, val_y)
         assert hist.val_loss == [val_loss] and hist.val_metric == [val_metric]
+
+
+class TestHierarchicalScoring:
+    """``predict_scores`` and ``validate`` encode each distinct row of a
+    hierarchical batch once; both must equal per-window forwards of the same
+    512-window batches."""
+
+    @pytest.mark.parametrize("family", ["hierarchical", "hierarchical_joint"])
+    def test_equal_per_window_forward(self, fraud_dataset, family):
+        d = impute_missing(fraud_dataset)
+        art = fit_preprocess(d, bins=6)
+        windows = make_windows(d, 5, 1)  # every inner row sits in 5 windows
+        assert len(windows) > 512 and windows[511].entity == windows[512].entity
+        inputs, y = encode_inputs(windows, art, family), window_labels(windows)
+        spec = ModelSpec(family, 5, d.schema.n_features, hidden=8, heads=2, layers=1,
+                         dropout=0.2)
+        model = build_model(spec, seed=3, vocab=art.vocab)
+        starts = range(0, len(y), 512)
+        with T.no_grad():
+            batches = [model(*index_inputs(inputs, np.arange(s, min(s + 512, len(y))))).data
+                       for s in starts]
+        logits = np.concatenate(batches)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        scores = e[:, 1] / e.sum(axis=1)
+        assert np.array_equal(predict_scores(model, inputs), scores)
+        val_loss = sum(cross_entropy(T.Tensor(b), y[s:s + 512].astype(np.int64)).item()
+                       * len(b) for s, b in zip(starts, batches)) / len(y)
+        assert validate(model, inputs, y) == (val_loss, f1(scores >= 0.5, y)[2])
 
 
 class TestPretrainFineTune:
