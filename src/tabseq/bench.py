@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .config import JsonConfig, read_json, write_json
+from .config import JsonConfig, output_to, read_json, write_json
 from .errors import ConfigError
 from .models import ModelSpec, TOWER_MASKS, build_model, expected_attention_pairs
 from .preprocess import PreprocessArtifact, fit_preprocess
@@ -270,7 +270,8 @@ def run_arm(arm: ArmConfig, spec: ModelSpec, tcfg: TrainConfig, pre_cfg: TrainCo
 def run_experiment(cfg: dict, out_dir) -> dict:
     """Run every arm of an experiment document; writes report.json and metrics.csv."""
     exp = ExperimentConfig.from_json(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    with output_to(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
 
     splits, artifact = prepare(exp)
@@ -311,8 +312,8 @@ def run_experiment(cfg: dict, out_dir) -> dict:
 
 def write_report(report: dict, out_dir) -> None:
     write_json(os.path.join(out_dir, "report.json"), report)
-    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="",
-              encoding="utf-8") as fh:
+    path = os.path.join(out_dir, "metrics.csv")
+    with output_to(path), open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         timing = report["timing"]["arm_seconds"]
@@ -357,7 +358,8 @@ def sweep(cfg: dict, grid: dict, out_dir, budget: int | None = None) -> dict:
     exp = ExperimentConfig.from_json(cfg)
     if not grid:
         raise ConfigError("sweep needs a non-empty grid")
-    os.makedirs(out_dir, exist_ok=True)
+    with output_to(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     base = exp.arms[0]
     model_keys = {f.name for f in fields(ModelSpec)}
     splits, artifact = prepare(exp)

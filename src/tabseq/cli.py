@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import bench
-from .config import read_json, write_json
+from .config import output_to, read_json, write_json
 from .errors import ConfigError, SchemaMismatch, TabseqError
 from .models import TOWER_MASKS, build_model
 from .preprocess import PreprocessArtifact, fit_preprocess
@@ -45,7 +45,8 @@ def cmd_generate(args) -> int:
     cfg = GenConfig.from_json(read_json(args.config))
     gen = generate_fraud_dataset if args.task == "fraud" else generate_regression_dataset
     dataset = gen(cfg)
-    os.makedirs(args.out, exist_ok=True)
+    with output_to(args.out):
+        os.makedirs(args.out, exist_ok=True)
     save_csv(dataset, os.path.join(args.out, "data.csv"))
     dataset.schema.save(os.path.join(args.out, "schema.json"))
     print(f"wrote {len(dataset)} records for {cfg.entities} entities to {args.out}")

@@ -9,6 +9,7 @@ import enum
 import json
 import types
 import typing
+from contextlib import contextmanager
 
 from .errors import ConfigError
 
@@ -25,9 +26,19 @@ def read_json(path):
         raise ConfigError(f"{path}: not a JSON document ({exc})") from None
 
 
+@contextmanager
+def output_to(path):
+    """An ``OSError`` raised in the block, such as a missing parent directory
+    of ``path``, becomes a ``ConfigError`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+
+
 def write_json(path, doc) -> None:
     """Write ``doc`` to ``path`` indented by 2, keys sorted, newline-terminated."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_to(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

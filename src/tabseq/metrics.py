@@ -27,10 +27,6 @@ class BinaryConfusion:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def confusion(preds, labels) -> BinaryConfusion:
     preds = np.asarray(preds)

@@ -13,12 +13,11 @@ from .layers import (
     MultiHeadSelfAttention,
     TaskHead,
 )
-from .optim import Adam, AdamState, adam_step
-from .tensor import Tensor, cross_entropy, default_dtype, mse, set_default_dtype
+from .optim import Adam
+from .tensor import Tensor, cross_entropy, mse
 
 __all__ = [
     "Adam",
-    "AdamState",
     "AttentionCounter",
     "Embedding",
     "Encoder",
@@ -30,13 +29,10 @@ __all__ = [
     "MultiHeadSelfAttention",
     "TaskHead",
     "Tensor",
-    "adam_step",
     "cross_entropy",
-    "default_dtype",
     "grad_check",
     "load_checkpoint",
     "mse",
     "save_checkpoint",
-    "set_default_dtype",
     "tensor",
 ]

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from ..config import output_to
 from ..errors import RangeError, ShapeError
 
 FORMAT_TAG = "tabseq-checkpoint"
@@ -35,7 +36,7 @@ def save_checkpoint(
         "seed": seed,
         "tensors": [{"name": n, "shape": list(params[n].shape)} for n in names],
     }
-    with open(path, "wb") as fh:
+    with output_to(path), open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
         for n in names:

@@ -31,15 +31,6 @@ class AttentionCounter:
 class Module:
     frozen = False
 
-    def modules(self):
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield item
-
     def _walk(self, prefix: str, skip_frozen: bool):
         """(name, parameter) pairs in attribute order, optionally skipping
         frozen submodules."""

@@ -2,62 +2,37 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..errors import ShapeError
 from .tensor import Tensor
 
 
-@dataclass
-class AdamState:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: list = field(default_factory=list)  # first moments, one per parameter
-    v: list = field(default_factory=list)  # second moments
-
-
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState):
-    """One Adam update; returns updated parameter arrays, mutates state."""
-    if len(params) != len(grads):
-        raise ShapeError("parameter and gradient counts differ")
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ShapeError(f"parameter {i}: gradient shape {g.shape} != {p.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
-
-
 class Adam:
-    """Stateful wrapper binding AdamState to a fixed list of tensors."""
+    """Adam over a fixed list of tensors; a parameter without a gradient
+    takes a zero gradient."""
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.steps = 0
+        self.m = [np.zeros_like(p.data) for p in params]  # first moments
+        self.v = [np.zeros_like(p.data) for p in params]  # second moments
 
     def step(self) -> None:
-        grads = [
-            p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params
-        ]
-        updated = adam_step([p.data for p in self.params], grads, self.state)
-        for p, new in zip(self.params, updated):
-            p.data = new
+        self.steps += 1
+        bc1 = 1.0 - self.beta1**self.steps
+        bc2 = 1.0 - self.beta2**self.steps
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if p.shape != g.shape:
+                raise ShapeError(f"parameter {i}: gradient shape {g.shape} != {p.shape}")
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -5,9 +5,8 @@ Every operation records its parents and a backward closure on a tape;
 accumulates gradients. Inside ``no_grad()`` nothing is recorded, so a
 forward pass keeps no intermediate alive once the next operation has
 consumed it. Gradients through broadcasting are sum-reduced back
-to the parent shape. 64-bit floats are the default; 32-bit can be selected
-globally for faster training (gradient checks are only meaningful in
-64-bit).
+to the parent shape. Every tensor holds 64-bit floats, which the gradient
+checks need.
 """
 
 from __future__ import annotations
@@ -18,20 +17,6 @@ import numpy as np
 from scipy.special import erf
 
 from ..errors import RangeError, ShapeError
-
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise RangeError("dtype must be numpy float32 or float64")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
 
 _GRAD_ENABLED = True
 
@@ -53,7 +38,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         if not _GRAD_ENABLED:
             _parents, _backward_fn = (), None
@@ -71,9 +56,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self, grad=None) -> None:
         if grad is None:
@@ -201,23 +183,6 @@ def power(a, exponent: float) -> Tensor:
         _parents=(a,),
         _backward_fn=lambda g: (g * exponent * a.data ** (exponent - 1.0),),
     )
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return Tensor(out, _parents=(a,), _backward_fn=lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(np.log(a.data), _parents=(a,), _backward_fn=lambda g: (g / a.data,))
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return Tensor(out, _parents=(a,), _backward_fn=lambda g: (g * (1.0 - out * out),))
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

@@ -86,13 +86,6 @@ def _check_quantizable(v: np.ndarray) -> None:
         raise RangeError(f"cannot quantize non-finite value {float(v[~finite][0])!r}")
 
 
-def apply_quantizer(q: Quantizer, v: float) -> int:
-    """Bin id of v under half-open bins (-inf, e1], (e1, e2], ..., (e_{B-1}, inf)."""
-    v = np.asarray(v, dtype=np.float64)
-    _check_quantizable(v)
-    return int(q.edge_array.searchsorted(v, side="left"))
-
-
 @dataclass(frozen=True)
 class FieldTokens:
     """One field's slice of the global token id space."""
@@ -106,10 +99,6 @@ class FieldTokens:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.size
 
 
 @dataclass(frozen=True)
@@ -147,22 +136,6 @@ class Vocabulary:
         except KeyError:
             raise ShapeError(f"field {name!r} not in vocabulary") from None
 
-    def encode_cell(self, field_name: str, value) -> int:
-        ft = self.field_tokens(field_name)
-        if ft.kind is FieldKind.CATEGORICAL:
-            return self.category_tokens[field_name].get(value, UNK)
-        return ft.start + int(value)  # value is a bin id
-
-    def decode_token(self, token: int):
-        """Inverse lookup: token id -> (field name, category string or bin id)."""
-        for ft in self.fields:
-            if ft.start <= token < ft.stop:
-                local = token - ft.start
-                if ft.kind is FieldKind.CATEGORICAL:
-                    return ft.name, ft.entries[local]
-                return ft.name, local
-        raise RangeError(f"token {token} is special or out of range")
-
 
 def build_vocabulary(d: Dataset, quantizers: dict[str, Quantizer]) -> Vocabulary:
     """Assign dense, disjoint token ranges to every feature field.
@@ -193,19 +166,16 @@ def build_vocabulary(d: Dataset, quantizers: dict[str, Quantizer]) -> Vocabulary
 
 @dataclass(frozen=True)
 class TokenGrid:
-    """N x M integer token ids for one window, plus per-cell mask flags.
+    """N x M integer token ids for one window.
 
     ``raw`` optionally carries the unquantized numerical values (used by the
     joint categorical/numerical training variant).
     """
 
     ids: np.ndarray
-    mask: np.ndarray
     raw: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.ids.shape != self.mask.shape:
-            raise ShapeError("mask shape must match id grid shape")
         if self.raw is not None and self.raw.shape != self.ids.shape:
             raise ShapeError("raw value shape must match id grid shape")
 
@@ -266,7 +236,7 @@ def encode_tokens(
     if keep_raw:
         raw = np.zeros((n, m), dtype=np.float64)
         raw[:, numerical] = values.T
-    return TokenGrid(ids, np.zeros((n, m), dtype=bool), raw)
+    return TokenGrid(ids, raw)
 
 
 @dataclass(frozen=True)
@@ -285,8 +255,9 @@ class NumericEncoder:
         return len(self.label_tables[field_name])
 
 
-def fit_numeric_encoder(d: Dataset) -> NumericEncoder:
-    """Fit standardization stats and label tables on a (training) dataset."""
+def fit_numeric_encoder(d: Dataset, vocab: Vocabulary) -> NumericEncoder:
+    """Fit standardization stats on a (training) dataset; each categorical
+    field labels its vocabulary entries by position."""
     stats = {}
     tables = {}
     for spec in d.schema.feature_fields:
@@ -301,13 +272,8 @@ def fit_numeric_encoder(d: Dataset) -> NumericEncoder:
             else:
                 stats[spec.name] = (float(vals.mean()), max(float(vals.std()), STD_FLOOR))
         else:
-            observed = sorted(
-                {r.values[col] for r in d.records if r.values[col] is not None}
-                - {MISSING_CATEGORY}
-            )
-            table = {c: i for i, c in enumerate(observed)}
-            table[MISSING_CATEGORY] = len(table)
-            tables[spec.name] = table
+            entries = vocab.field_tokens(spec.name).entries
+            tables[spec.name] = {c: i for i, c in enumerate(entries)}
     return NumericEncoder(stats, tables)
 
 
@@ -411,5 +377,5 @@ def fit_preprocess(d: Dataset, bins: int = 32) -> PreprocessArtifact:
         if spec.kind is FieldKind.NUMERICAL
     }
     vocab = build_vocabulary(d, quantizers)
-    numeric = fit_numeric_encoder(d)
+    numeric = fit_numeric_encoder(d, vocab)
     return PreprocessArtifact(d.schema, quantizers, vocab, numeric)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .config import JsonConfig, read_json, write_json
+from .config import JsonConfig, output_to, read_json, write_json
 from .errors import EmptyResult, ParseError, RangeError, SchemaMismatch
 
 MISSING_CATEGORY = "__MISSING__"
@@ -213,7 +213,7 @@ def load_csv(path, schema: Schema) -> Dataset:
 
 def save_csv(d: Dataset, path) -> None:
     """Write a dataset in the same header-first CSV format load_csv reads."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with output_to(path), open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f.name for f in d.schema.fields])
         for rec in d.records:

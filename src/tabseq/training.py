@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import JsonConfig
+from .config import JsonConfig, output_to
 from .errors import ConfigError, DegenerateLabels, DivergenceError, RangeError, VocabularyMismatch
 from .metrics import f1, rank_metrics, rmse, tie_fraction
 from .models import HierarchicalModel, ModelSpec, build_model
@@ -69,7 +69,7 @@ class TrainHistory:
         self.seconds.append(seconds)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with output_to(path), open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_loss", "val_loss", "val_metric", "seconds"])
             for row in zip(self.epochs, self.train_loss, self.val_loss,
@@ -83,6 +83,9 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 def split_entity_names(entities, val_fraction: float, test_fraction: float, seed: int):
     """Shuffle entity names and partition them into (train, val, test) sets."""
+    if not (val_fraction >= 0.0 and test_fraction >= 0.0 and val_fraction + test_fraction < 1.0):
+        raise ConfigError(f"val_fraction {val_fraction} and test_fraction {test_fraction} "
+                          "must each be at least 0 and sum to less than 1")
     entities = sorted(entities)
     order = _rng(seed, 0xE).permutation(len(entities))
     shuffled = [entities[i] for i in order]

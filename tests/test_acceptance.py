@@ -103,14 +103,14 @@ def _vocab_with(m: int) -> Vocabulary:
             spec = FieldTokens(f"num_{j}", FieldKind.NUMERICAL, start,
                                ("bin_0", "bin_1", "bin_2", "bin_3"))
         fields.append(spec)
-        start = spec.stop
+        start = spec.start + spec.size
     return Vocabulary(tuple(fields))
 
 
 def _random_ids(vocab, batch, n, rng):
     ids = np.zeros((batch, n, len(vocab.fields)), dtype=np.int64)
     for j, ft in enumerate(vocab.fields):
-        ids[:, :, j] = rng.integers(ft.start, ft.stop, (batch, n))
+        ids[:, :, j] = rng.integers(ft.start, ft.start + ft.size, (batch, n))
     return ids
 
 

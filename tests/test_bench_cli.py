@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from tabseq.bench import (
     prepare,
     run_experiment,
     sweep,
+    write_report,
 )
 from tabseq.cli import main
 from tabseq.errors import ConfigError
@@ -34,6 +36,7 @@ from tabseq.schema import (
     save_csv,
 )
 from tabseq.training import (
+    TrainHistory,
     encode_inputs,
     evaluate_scores,
     predict_scores,
@@ -450,6 +453,9 @@ class TestSweep:
             assert point["val_metric"] == float(row["val_metric"])
 
 
+NO_FILE = "No such file or directory"
+
+
 class TestCli:
     def test_generate_outputs(self, pipeline):
         _, data_dir, _ = pipeline
@@ -635,19 +641,41 @@ class TestCli:
         assert main([command, *args]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
-    @pytest.mark.parametrize("command, flag", [
-        ("train", "--config"), ("evaluate", "--data"), ("evaluate", "--artifact"),
-        ("evaluate", "--checkpoint"),
+    @pytest.mark.parametrize("command, flag, target, reason", [
+        pytest.param("train", "--config", "absent", NO_FILE, id="train---config"),
+        pytest.param("evaluate", "--data", "absent", NO_FILE, id="evaluate---data"),
+        pytest.param("evaluate", "--artifact", "absent", NO_FILE, id="evaluate---artifact"),
+        pytest.param("evaluate", "--checkpoint", "absent", NO_FILE, id="evaluate---checkpoint"),
+        pytest.param("evaluate", "--out", "nodir/x.json", NO_FILE, id="evaluate---out-nodir"),
+        pytest.param("evaluate", "--out", "dir", "Is a directory", id="evaluate---out-dir"),
+        pytest.param("generate", "--out", "file", "File exists", id="generate---out-file"),
+        pytest.param("train", "--out", "file", "File exists", id="train---out-file"),
     ])
-    def test_missing_file(self, command, flag, pipeline, trained_run, tmp_path, capsys):
-        _, data_dir, _ = pipeline
+    def test_missing_file(self, command, flag, target, reason, pipeline, trained_run,
+                          tmp_path, capsys):
+        root, data_dir, _ = pipeline
         cfg_path, run = trained_run
         args = {"train": ["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
-                "evaluate": self.evaluate_args(data_dir / "data.csv", data_dir, run)}[command]
-        absent = tmp_path / "absent"
-        args[args.index(flag) + 1] = str(absent)
+                "evaluate": self.evaluate_args(data_dir / "data.csv", data_dir, run,
+                                               "--out", str(tmp_path / "out.json")),
+                "generate": ["generate", "--config", str(root / "gen.json"),
+                             "--out", str(tmp_path / "out")]}[command]
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        path = tmp_path / target
+        args[args.index(flag) + 1] = str(path)
         assert main(args) == 1
-        assert capsys.readouterr().err == f"error: {absent}: No such file or directory\n"
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+    def test_finetune_rejects_negative_fraction(self, pipeline, trained_run, tmp_path,
+                                                capsys):
+        _, data_dir, _ = pipeline
+        _, run = trained_run
+        args = self.evaluate_args(data_dir / "data.csv", data_dir, run)
+        out = tmp_path / "ft.ckpt"
+        assert main(["finetune", *args[1:], "--val-fraction", "-0.1", "--out", str(out)]) == 1
+        assert "sum to less than 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pretrain_rejects_non_transformer_preset(self, pipeline, tmp_path, capsys):
         _, data_dir, artifact = pipeline
@@ -685,3 +713,18 @@ class TestCli:
     def test_module_invocation_matches(self):
         proc = subprocess.run(MODULE_HELP, capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("writer", ["save_checkpoint", "save_csv", "to_csv", "write_report"])
+def test_writer_names_unwritable_path(writer, report_dir, tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.mkdir()  # a directory where the file should go
+    write = {
+        "save_checkpoint": lambda: save_checkpoint(path, {"w": np.zeros(2)}, {}),
+        "save_csv": lambda: save_csv(
+            Dataset(PreprocessArtifact.load(report_dir[0] / "preprocess.json").schema, ()), path),
+        "to_csv": lambda: TrainHistory().to_csv(path),
+        "write_report": lambda: write_report(report_dir[1], tmp_path),
+    }[writer]
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: Is a directory$"):
+        write()

@@ -30,14 +30,14 @@ def small_vocab():
 def random_ids(vocab, batch, n, rng):
     ids = np.zeros((batch, n, len(vocab.fields)), dtype=np.int64)
     for j, ft in enumerate(vocab.fields):
-        ids[:, :, j] = rng.integers(ft.start, ft.stop, (batch, n))
+        ids[:, :, j] = rng.integers(ft.start, ft.start + ft.size, (batch, n))
     return ids
 
 
 def stride_one_windows(vocab, n_rows, n, rng):
     """Windows of ``n`` rows at stride 1 over ``n_rows`` distinct rows of one
     entity, with raw values: an inner row sits in ``n`` windows."""
-    combos = np.array(list(itertools.product(*(range(ft.start, ft.stop)
+    combos = np.array(list(itertools.product(*(range(ft.start, ft.start + ft.size)
                                                for ft in vocab.fields))))
     rows = combos[rng.permutation(len(combos))[:n_rows]]
     raw = rng.standard_normal(rows.shape)

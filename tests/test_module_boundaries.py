@@ -2,6 +2,7 @@
 from another tabseq module: what modules share goes through public names."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,60 @@ def reach_ins(module: str) -> list[str]:
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_private_reach_ins(module):
     assert reach_ins(module) == []
+
+
+PERFBENCH = SRC.parent / "perfbench"
+
+# Names only the tests call, kept because a gate uses them; each line says which.
+CALLER_ALLOWLIST = {
+    "grad_check",  # the gradient gates (criterion 3, test_nn_core) compare against it
+    "Module.parameters",  # the gradient gates check every parameter, frozen ones too
+}
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, node) for each public top-level function and class,
+    and each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def references(tree: ast.Module):
+    """(name, line) for each Name, Attribute and dotted string component,
+    leaving out the ``__all__`` list, whose strings only re-export."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            skip.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def test_every_public_name_has_a_caller():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*MODULES.values(), *sorted(PERFBENCH.rglob("*.py"))]}
+    sites = defaultdict(list)  # name -> [(file, line)] of its references
+    for path, tree in trees.items():
+        for name, line in references(tree):
+            sites[name].append((path, line))
+    uncalled = []
+    for module, path in MODULES.items():
+        for qualname, node in public_definitions(trees[path]):
+            if qualname not in CALLER_ALLOWLIST and all(
+                    p == path and node.lineno <= line <= node.end_lineno
+                    for p, line in sites[node.name]):
+                uncalled.append(f"{module}.{qualname}")
+    assert not uncalled, "no caller outside tests: " + ", ".join(uncalled)

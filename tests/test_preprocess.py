@@ -18,11 +18,9 @@ from tabseq.preprocess import (
     PreprocessArtifact,
     Quantizer,
     Vocabulary,
-    apply_quantizer,
     build_vocabulary,
     encode_numeric,
     encode_tokens,
-    fit_numeric_encoder,
     fit_preprocess,
     fit_quantizer,
 )
@@ -36,6 +34,35 @@ from tabseq.schema import (
     impute_missing,
     make_windows,
 )
+
+
+# Per-cell references for the oracle tests: the bin and token lookups that
+# encode_tokens performs for a whole window, written for one cell, and the
+# inverse token lookup.
+def apply_quantizer(q, v):
+    """Bin id of v under half-open bins (-inf, e1], (e1, e2], ..., (e_{B-1}, inf)."""
+    if not np.isfinite(v):
+        raise RangeError(f"cannot quantize non-finite value {v!r}")
+    return int(q.edge_array.searchsorted(v, side="left"))
+
+
+def encode_cell(vocab, field_name, value):
+    """Token of a category, or of a bin id for a numerical field."""
+    ft = vocab.field_tokens(field_name)
+    if ft.kind is FieldKind.CATEGORICAL:
+        return vocab.category_tokens[field_name].get(value, UNK)
+    return ft.start + int(value)
+
+
+def decode_token(vocab, token):
+    """Inverse lookup: token id -> (field name, category string or bin id)."""
+    for ft in vocab.fields:
+        if ft.start <= token < ft.start + ft.size:
+            local = token - ft.start
+            if ft.kind is FieldKind.CATEGORICAL:
+                return ft.name, ft.entries[local]
+            return ft.name, local
+    raise RangeError(f"token {token} is special or out of range")
 
 
 def amounts_dataset(values, channels=None):
@@ -122,18 +149,18 @@ class TestVocabulary:
         next_start = N_SPECIALS
         for ft in art.vocab.fields:
             assert ft.start == next_start
-            ids = set(range(ft.start, ft.stop))
+            ids = set(range(ft.start, ft.start + ft.size))
             assert not ids & seen
             seen |= ids
-            next_start = ft.stop
+            next_start = ft.start + ft.size
 
     def test_unseen_category_is_unk(self):
         _, art = self.make_artifact()
-        assert art.vocab.encode_cell("channel", "ZZZ") == UNK
+        assert encode_cell(art.vocab, "channel", "ZZZ") == UNK
 
     def test_missing_category_has_token(self):
         _, art = self.make_artifact()
-        tok = art.vocab.encode_cell("channel", MISSING_CATEGORY)
+        tok = encode_cell(art.vocab, "channel", MISSING_CATEGORY)
         assert tok >= N_SPECIALS
 
     def test_encode_decode_bijection(self):
@@ -141,16 +168,16 @@ class TestVocabulary:
         for ft in art.vocab.fields:
             for local, entry in enumerate(ft.entries):
                 if ft.kind.value == "categorical":
-                    tok = art.vocab.encode_cell(ft.name, entry)
-                    assert art.vocab.decode_token(tok) == (ft.name, entry)
+                    tok = encode_cell(art.vocab, ft.name, entry)
+                    assert decode_token(art.vocab, tok) == (ft.name, entry)
                 else:
-                    tok = art.vocab.encode_cell(ft.name, local)
-                    assert art.vocab.decode_token(tok) == (ft.name, local)
+                    tok = encode_cell(art.vocab, ft.name, local)
+                    assert decode_token(art.vocab, tok) == (ft.name, local)
 
     def test_decode_special_rejected(self):
         _, art = self.make_artifact()
         with pytest.raises(RangeError):
-            art.vocab.decode_token(MASK)
+            decode_token(art.vocab, MASK)
 
     def test_missing_quantizer_rejected(self):
         d, _ = self.make_artifact()
@@ -166,8 +193,7 @@ class TestEncodeTokens:
 
     def test_shape_and_validity(self):
         g = encode_tokens(self.window, self.d.schema, self.art.vocab, self.art.quantizers)
-        assert g.ids.shape == (3, 2) and g.mask.shape == (3, 2)
-        assert not g.mask.any()
+        assert g.ids.shape == (3, 2)
         assert (g.ids >= N_SPECIALS).all()
 
     def test_stable_token_for_known_category(self):
@@ -196,7 +222,7 @@ class TestEncodeTokens:
 class TestEncodeNumeric:
     def test_standardization(self):
         d = amounts_dataset([8, 10, 12])  # mean 10, std sqrt(8/3)
-        enc = fit_numeric_encoder(d)
+        enc = fit_preprocess(d).numeric
         mean, std = enc.stats["amount"]
         w = make_windows(d, 3, 1)[0]
         fm = encode_numeric(w, d.schema, enc)
@@ -204,14 +230,14 @@ class TestEncodeNumeric:
 
     def test_constant_field_floors_std(self):
         d = amounts_dataset([5, 5, 5])
-        enc = fit_numeric_encoder(d)
+        enc = fit_preprocess(d).numeric
         w = make_windows(d, 3, 1)[0]
         fm = encode_numeric(w, d.schema, enc)
         assert (fm.values[:, 0] == 0.0).all()
 
     def test_label_encoding(self):
         d = amounts_dataset([1, 2, 3], ["C", "A", "B"])
-        enc = fit_numeric_encoder(d)
+        enc = fit_preprocess(d).numeric
         w = make_windows(d, 3, 1)[0]
         fm = encode_numeric(w, d.schema, enc)
         # categories sorted: A=0, B=1, C=2
@@ -219,7 +245,7 @@ class TestEncodeNumeric:
 
     def test_unseen_category_reserved_integer(self):
         d = amounts_dataset([1, 2], ["A", "B"])
-        enc = fit_numeric_encoder(d)
+        enc = fit_preprocess(d).numeric
         w2 = make_windows(amounts_dataset([1, 2], ["A", "ZZZ"]), 2, 1)[0]
         fm = encode_numeric(w2, d.schema, enc)
         assert fm.values[1, 1] == enc.unknown_label("channel")
@@ -228,7 +254,7 @@ class TestEncodeNumeric:
     @settings(max_examples=50, deadline=None)
     def test_output_always_finite(self, values):
         d = amounts_dataset(values)
-        enc = fit_numeric_encoder(d)
+        enc = fit_preprocess(d).numeric
         w = make_windows(d, len(values), 1)[0]
         fm = encode_numeric(w, d.schema, enc)
         assert np.all(np.isfinite(fm.values))
@@ -352,7 +378,7 @@ class TestEncoderOracle:
         for f in feats:  # the per-cell helpers read the same tables
             for r in rows:
                 cell = r[f] if f in KNOWN else apply_quantizer(quantizers[f], r[f])
-                assert vocab.encode_cell(f, cell) == token(f, r[f])
+                assert encode_cell(vocab, f, cell) == token(f, r[f])
 
     def encode_both(self, row):
         quantizers, vocab, enc = oracle_artifact({"x": [0.0], "y": []},

@@ -25,6 +25,7 @@ from tabseq.training import (
     restore_model,
     save_model,
     split_entities,
+    split_entity_names,
     train_supervised,
     validate,
     window_labels,
@@ -106,6 +107,13 @@ class TestSplitEntities:
         a = split_entities(windows, 0.2, 0.2, seed=1)
         b = split_entities(windows, 0.2, 0.2, seed=1)
         assert [w.entity for w in a[0]] == [w.entity for w in b[0]]
+
+    @pytest.mark.parametrize("val_fraction, test_fraction", [(-0.1, 0.15), (0.15, 1.2),
+                                                             (0.6, 0.5)])
+    def test_fractions_out_of_range_rejected(self, val_fraction, test_fraction):
+        names = [f"e{i}" for i in range(200)]
+        with pytest.raises(ConfigError, match="sum to less than 1"):
+            split_entity_names(names, val_fraction, test_fraction, seed=0)
 
 
 class TestMaskTokens:
