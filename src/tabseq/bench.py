@@ -168,7 +168,8 @@ def prepare(exp: ExperimentConfig):
     window lists and the artifact fitted on the train entities' rows."""
     dataset = impute_missing(exp.data.load(exp.task))
     windows = make_windows(dataset, exp.window_size, exp.stride, TASKS[exp.task][0])
-    splits = split_entities(windows, exp.val_fraction, exp.test_fraction, exp.seed)
+    splits = split_entities(windows, exp.val_fraction, exp.test_fraction, exp.seed,
+                            {r.entity for r in dataset.records})
     for name, part in zip(("train", "validation", "test"), splits):
         if not part:
             raise ConfigError(f"entity split produced an empty {name} partition")

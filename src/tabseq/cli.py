@@ -65,10 +65,13 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _windows(args, artifact: PreprocessArtifact, rule=None):
+def _dataset(args, artifact: PreprocessArtifact) -> Dataset:
     if Schema.load(args.schema) != artifact.schema:
         raise SchemaMismatch(f"{args.schema} is not the schema of {args.artifact}")
-    dataset = impute_missing(load_csv(args.data, artifact.schema))
+    return impute_missing(load_csv(args.data, artifact.schema))
+
+
+def _windows(dataset: Dataset, args, rule=None):
     return make_windows(dataset, args.window, args.stride, rule or TASKS[args.task][0])
 
 
@@ -78,7 +81,8 @@ def cmd_pretrain(args) -> int:
     sizes = {k: v for k, v in (("hidden", args.hidden), ("heads", args.heads)) if v}
     spec = preset_model_spec(preset, n=args.window, m=artifact.schema.n_features,
                              head="mlm", **sizes)
-    ids, raw = encode_inputs(_windows(args, artifact, "none"), artifact, spec.family)
+    ids, raw = encode_inputs(_windows(_dataset(args, artifact), args, "none"), artifact,
+                             spec.family)
     cfg = preset_train_config(preset, seed=args.seed, epochs=args.epochs, patience=None)
     model = build_model(spec, seed=args.seed, vocab=artifact.vocab)
     model, history = pretrain_mlm(model, ids, raw, cfg)
@@ -113,8 +117,10 @@ def cmd_finetune(args) -> int:
     artifact = PreprocessArtifact.load(args.artifact)
     model = restore_model(args.checkpoint, artifact, head=TASKS[args.task][1], seed=args.seed)
     family = model.spec.family
-    train_w, val_w, _ = split_entities(_windows(args, artifact), args.val_fraction,
-                                       args.test_fraction, args.seed)
+    dataset = _dataset(args, artifact)
+    train_w, val_w, _ = split_entities(_windows(dataset, args), args.val_fraction,
+                                       args.test_fraction, args.seed,
+                                       {r.entity for r in dataset.records})
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed)
     model, history = train_supervised(
@@ -134,7 +140,7 @@ def cmd_evaluate(args) -> int:
     if model.spec.head != head:
         raise ConfigError(f"checkpoint has a {model.spec.head!r} head; "
                           f"--task {args.task} needs {head!r}")
-    windows = _windows(args, artifact)
+    windows = _windows(_dataset(args, artifact), args)
     scores = predict_scores(model, encode_inputs(windows, artifact, model.spec.family))
     result = evaluate_scores(scores, window_labels(windows), head)
     if result.pop("tie_warning", False):

@@ -82,7 +82,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.weight) + self.bias
+        return T.linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -100,10 +100,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = T.tmean(x, axis=-1, keepdims=True)
-        centered = x - mu
-        var = T.tmean(centered * centered, axis=-1, keepdims=True)
-        return centered * T.power(var + self.eps, -0.5) * self.gain + self.bias
+        return T.layer_norm(x, self.gain, self.bias, self.eps)
 
 
 class MultiHeadSelfAttention(Module):
@@ -129,20 +126,9 @@ class MultiHeadSelfAttention(Module):
     ) -> Tensor:
         if x.ndim != 3 or x.shape[-1] != self.hidden:
             raise ShapeError(f"expected [batch, S, {self.hidden}], got {x.shape}")
-        batch, s, h = x.shape
-        dh = h // self.heads
-
-        def split(t):  # [B, S, H] -> [B, heads, S, dh]
-            return T.transpose(T.reshape(t, (batch, s, self.heads, dh)), (0, 2, 1, 3))
-
-        q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
         if counter is not None:
-            counter.add(batch * self.heads * s * s)
-        attn = T.softmax(scores, axis=-1)
-        ctx = T.matmul(attn, v)  # [B, heads, S, dh]
-        merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (batch, s, h))
-        out = self.wo(merged)
+            counter.add(x.shape[0] * self.heads * x.shape[1] ** 2)
+        out = self.wo(T.attention(self.wq(x), self.wk(x), self.wv(x), self.heads))
         if dropout > 0.0 and rng is not None:
             out = T.dropout(out, dropout, rng)
         return self.norm(x + out)

@@ -5,8 +5,9 @@ Every operation records its parents and a backward closure on a tape;
 accumulates gradients. Inside ``no_grad()`` nothing is recorded, so a
 forward pass keeps no intermediate alive once the next operation has
 consumed it. Gradients through broadcasting are sum-reduced back
-to the parent shape. Every tensor holds 64-bit floats, which the gradient
-checks need.
+to the parent shape. Linear, layer norm and the attention core are each one
+node with a hand-written backward. Every tensor holds 64-bit floats, which
+the gradient checks need.
 """
 
 from __future__ import annotations
@@ -175,6 +176,71 @@ def matmul(a, b) -> Tensor:
     return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward_fn=backward)
 
 
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for ``x`` of shape [..., n_in] as one node. The forward is
+    numpy's batched matmul; the weight gradient is one GEMM over every leading
+    axis, and the input gradient is skipped when ``x`` needs none."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+
+    def backward(g):
+        n_in, n_out = w.shape
+        rows = g.reshape(-1, n_out)
+        gx = np.matmul(g, w.data.T) if x.requires_grad else None
+        return gx, x.data.reshape(-1, n_in).T @ rows, rows.sum(axis=0)
+
+    return Tensor(np.matmul(x.data, w.data) + b.data, _parents=(x, w, b), _backward_fn=backward)
+
+
+def layer_norm(x, gain, bias, eps: float) -> Tensor:
+    """Normalise the last axis to zero mean and unit variance, then scale by
+    ``gain`` and shift by ``bias``; one node with an analytic backward."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    n = x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    xhat = x.data - mu
+    inv = ((xhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / n) + eps) ** -0.5
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
+
+    def backward(g):
+        gxhat = g * gain.data
+        gx = gxhat - gxhat.sum(axis=-1, keepdims=True) * (1.0 / n)
+        gx -= xhat * ((gxhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / n))
+        gx *= inv
+        return gx, (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0)
+
+    return Tensor(out, _parents=(x, gain, bias), _backward_fn=backward)
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over [batch, S, H] inputs as one
+    node: split into heads, softmax(q kᵀ / √dh) v, and merge back to [batch, S, H]."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    batch, s, h = q.shape
+    dh = h // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(t):  # [B, S, H] -> [B, heads, S, dh]
+        return t.reshape(batch, s, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(t):  # [B, heads, S, dh] -> [B, S, H]
+        return t.transpose(0, 2, 1, 3).reshape(batch, s, h)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    attn = _softmax(np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale, -1)
+
+    def backward(g):
+        gctx = split(g)
+        gscores = _softmax_grad(attn, np.matmul(gctx, vh.transpose(0, 1, 3, 2)), -1)
+        gscores *= scale
+        return (merge(np.matmul(gscores, kh)),
+                merge(np.matmul(gscores.transpose(0, 1, 3, 2), qh)),
+                merge(np.matmul(attn.transpose(0, 1, 3, 2), gctx)))
+
+    return Tensor(merge(np.matmul(attn, vh)), _parents=(q, k, v), _backward_fn=backward)
+
+
 def power(a, exponent: float) -> Tensor:
     a = as_tensor(a)
     out = a.data**exponent
@@ -233,27 +299,25 @@ def reshape(a, shape) -> Tensor:
     )
 
 
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    inverse = np.argsort(axes)
-    return Tensor(
-        a.data.transpose(axes),
-        _parents=(a,),
-        _backward_fn=lambda g: (g.transpose(inverse),),
-    )
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
 
 
 def softmax(a, axis=-1) -> Tensor:
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax(a.data, axis)
+    return Tensor(out, _parents=(a,), _backward_fn=lambda g: (_softmax_grad(out, g, axis),))
 
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
 
-    return Tensor(out, _parents=(a,), _backward_fn=backward)
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """[n, D] sums of ``rows`` grouped by ``index``: one ``bincount`` per column,
+    which adds in index order and so equals ``np.add.at`` bit for bit."""
+    return np.stack([np.bincount(index, weights=col, minlength=n) for col in rows.T], axis=1)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -263,21 +327,21 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise RangeError("embedding id out of table range")
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        return (gt,)
+        return (_scatter_rows(ids.reshape(-1), g.reshape(-1, table.shape[1]), table.shape[0]),)
 
     return Tensor(table.data[ids], _parents=(table,), _backward_fn=backward)
 
 
-def take(a, idx) -> Tensor:
-    """Advanced-index selection; backward scatter-adds into the source."""
+def take(a, idx: tuple) -> Tensor:
+    """Select ``a[idx]`` for a tuple of integer arrays indexing the leading axes
+    of ``a``; backward scatter-adds into the source."""
     a = as_tensor(a)
+    lead = a.shape[:len(idx)]
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        rows = _scatter_rows(np.ravel_multi_index(idx, lead), g.reshape(len(g), -1),
+                             int(np.prod(lead)))
+        return (rows.reshape(a.shape),)
 
     return Tensor(a.data[idx], _parents=(a,), _backward_fn=backward)
 

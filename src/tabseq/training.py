@@ -98,10 +98,14 @@ def split_entity_names(entities, val_fraction: float, test_fraction: float, seed
 
 
 def split_entities(windows: list[SequenceWindow], val_fraction: float,
-                   test_fraction: float, seed: int):
-    """Partition windows entity-wise into train/val/test (no entity leakage)."""
+                   test_fraction: float, seed: int, entities=None):
+    """Partition windows entity-wise into train/val/test (no entity leakage) by
+    the split of ``entities``, by default the windows' own. Pass every entity
+    of the dataset, as ``tabseq preprocess`` splits them, so that an entity
+    with fewer rows than the window still takes its place in the shuffle."""
     train_set, val_set, test_set = split_entity_names(
-        {w.entity for w in windows}, val_fraction, test_fraction, seed
+        {w.entity for w in windows} if entities is None else entities,
+        val_fraction, test_fraction, seed
     )
     train = [w for w in windows if w.entity in train_set]
     val = [w for w in windows if w.entity in val_set]

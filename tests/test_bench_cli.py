@@ -21,11 +21,12 @@ from tabseq.bench import (
     sweep,
     write_report,
 )
+from tabseq import cli
 from tabseq.cli import main
 from tabseq.errors import ConfigError
 from tabseq.models import ModelSpec, expected_attention_pairs
 from tabseq.nn import load_checkpoint, save_checkpoint
-from tabseq.preprocess import PreprocessArtifact
+from tabseq.preprocess import PreprocessArtifact, fit_preprocess
 from tabseq.schema import (
     Dataset,
     Record,
@@ -35,12 +36,15 @@ from tabseq.schema import (
     make_windows,
     save_csv,
 )
+from tabseq.synthgen import GenConfig, generate_fraud_dataset
 from tabseq.training import (
     TrainHistory,
     encode_inputs,
     evaluate_scores,
     predict_scores,
     restore_model,
+    split_entities,
+    split_entity_names,
     window_labels,
 )
 
@@ -728,3 +732,46 @@ def test_writer_names_unwritable_path(writer, report_dir, tmp_path):
     }[writer]
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: Is a directory$"):
         write()
+
+
+def test_commands_share_one_entity_split(tmp_path, monkeypatch):
+    # 40 entities of 12 rows with the first three cut to 5: at window 10 they
+    # have no window, yet `tabseq preprocess` shuffles them with the rest
+    data = generate_fraud_dataset(GenConfig(entities=40, rows_per_entity=12, seed=0))
+    short = set(sorted({r.entity for r in data.records})[:3])
+    kept = Dataset(data.schema, tuple(r for r in data.records
+                                      if r.entity not in short or r.time_index < 5))
+    csv_path, schema_path = tmp_path / "data.csv", tmp_path / "schema.json"
+    save_csv(kept, csv_path)
+    kept.schema.save(schema_path)
+    expect = split_entity_names({r.entity for r in kept.records}, 0.15, 0.15, 0)
+    windows = make_windows(kept, 10, 1)
+    assert not short & {w.entity for w in windows}
+    # the split of the windows' own entities alone disagrees with preprocess's
+    assert any(not {w.entity for w in part} <= names
+               for part, names in zip(split_entities(windows, 0.15, 0.15, 0), expect))
+
+    def within_expected(splits):
+        return all({w.entity for w in part} <= names for part, names in zip(splits, expect))
+
+    cfg = base_config(seed=0, window_size=10, stride=1)
+    cfg["data"] = {"csv": str(csv_path), "schema": str(schema_path)}
+    assert within_expected(prepare(ExperimentConfig.from_json(cfg))[0])
+
+    data_args = ["--data", str(csv_path), "--schema", str(schema_path), "--seed", "0"]
+    artifact = tmp_path / "artifact.json"
+    assert main(["preprocess", *data_args, "--bins", "4", "--out", str(artifact)]) == 0
+    fitted = PreprocessArtifact.load(artifact)
+    assert fitted.content_hash() == fit_preprocess(
+        Dataset(kept.schema, tuple(r for r in kept.records if r.entity in expect[0])),
+        bins=4).content_hash()
+    common = [*data_args, "--artifact", str(artifact), "--window", "10", "--stride", "1"]
+    ckpt = tmp_path / "pre.ckpt"
+    assert main(["pretrain", *common, "--preset", "default_tabbert", "--hidden", "8",
+                 "--heads", "2", "--epochs", "1", "--out", str(ckpt)]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "split_entities",
+                        lambda *a, **k: seen.append(split_entities(*a, **k)) or seen[-1])
+    assert main(["finetune", *common, "--checkpoint", str(ckpt), "--epochs", "1",
+                 "--out", str(tmp_path / "tuned.ckpt")]) == 0
+    assert len(seen) == 1 and within_expected(seen[0])

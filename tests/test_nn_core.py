@@ -105,6 +105,143 @@ class TestAutogradPrimitives:
             (x * 2.0).backward()
 
 
+# The layers as they were composed from primitives before each became one tape
+# node: reference oracles for the fused forward and backward.
+def transpose(a, axes):
+    inverse = np.argsort(axes)
+    return Tensor(a.data.transpose(axes), _parents=(a,),
+                  _backward_fn=lambda g: (g.transpose(inverse),))
+
+
+def composed_linear(lin, x):
+    return T.matmul(x, lin.weight) + lin.bias
+
+
+def composed_layer_norm(ln, x):
+    mu = T.tmean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = T.tmean(centered * centered, axis=-1, keepdims=True)
+    return centered * T.power(var + ln.eps, -0.5) * ln.gain + ln.bias
+
+
+def composed_attention(q, k, v, heads):
+    batch, s, h = q.shape
+    dh = h // heads
+
+    def split(t):
+        return transpose(T.reshape(t, (batch, s, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
+    scores = T.matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+    ctx = T.matmul(T.softmax(scores, axis=-1), v)
+    return T.reshape(transpose(ctx, (0, 2, 1, 3)), (batch, s, h))
+
+
+def gradients(f, params, c):
+    """The gradients of sum(f() * c) with respect to ``params``."""
+    for p in params:
+        p.grad = None
+    T.tsum(f() * c).backward()
+    return [p.grad for p in params]
+
+
+class TestFusedKernels:
+    @pytest.mark.parametrize("shape", [(4, 5), (2, 3, 5), "swapaxes"])
+    def test_linear_forward_matches_composed(self, shape):
+        rng = np.random.default_rng(30)
+        lin = Linear(5, 7, rng)
+        lin.bias.data = rng.standard_normal(7)
+        x = (np.swapaxes(rng.standard_normal((2, 5, 3)), 1, 2) if shape == "swapaxes"
+             else rng.standard_normal(shape))
+        assert np.array_equal(lin(Tensor(x)).data, composed_linear(lin, Tensor(x)).data)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (2, 3, 5)])
+    def test_linear_backward(self, shape):
+        rng = np.random.default_rng(31)
+        lin = Linear(5, 3, rng)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        c = rng.standard_normal((*shape[:-1], 3))
+        params = [x, lin.weight, lin.bias]
+        assert grad_check(lambda: T.tsum(lin(x) * c), params) < TOL
+        for fused, composed in zip(gradients(lambda: lin(x), params, c),
+                                   gradients(lambda: composed_linear(lin, x), params, c)):
+            np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-14)
+
+    def test_linear_skips_input_gradient_of_constant(self):
+        rng = np.random.default_rng(32)
+        lin = Linear(4, 2, rng)
+        out = lin(Tensor(rng.standard_normal((3, 4))))
+        assert out._backward_fn(np.ones((3, 2)))[0] is None
+
+    @pytest.mark.parametrize("width", [12, 16])
+    def test_layer_norm_forward_matches_composed(self, width):
+        # at 12, sum * (1/n) and np.mean round differently: the order is kept
+        rng = np.random.default_rng(33)
+        ln = LayerNorm(width)
+        ln.gain.data = rng.standard_normal(width)
+        ln.bias.data = rng.standard_normal(width)
+        x = Tensor(rng.standard_normal((3, 4, width)) * 3 + 1)
+        assert np.array_equal(ln(x).data, composed_layer_norm(ln, x).data)
+
+    def test_layer_norm_backward(self):
+        rng = np.random.default_rng(34)
+        ln = LayerNorm(12)
+        ln.gain.data = rng.standard_normal(12)
+        x = Tensor(rng.standard_normal((2, 3, 12)), requires_grad=True)
+        c = rng.standard_normal((2, 3, 12))
+        params = [x, ln.gain, ln.bias]
+        assert grad_check(lambda: T.tsum(ln(x) * c), params) < TOL
+        for fused, composed in zip(gradients(lambda: ln(x), params, c),
+                                   gradients(lambda: composed_layer_norm(ln, x), params, c)):
+            np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-14)
+
+    def test_attention_forward_matches_composed(self):
+        rng = np.random.default_rng(35)
+        q, k, v = (Tensor(rng.standard_normal((3, 5, 8))) for _ in range(3))
+        assert np.array_equal(T.attention(q, k, v, 2).data,
+                              composed_attention(q, k, v, 2).data)
+
+    def test_attention_backward_two_heads(self):
+        rng = np.random.default_rng(36)
+        q, k, v = (Tensor(rng.standard_normal((2, 4, 8)), requires_grad=True)
+                   for _ in range(3))
+        c = rng.standard_normal((2, 4, 8))
+        assert grad_check(lambda: T.tsum(T.attention(q, k, v, 2) * c), [q, k, v]) < TOL
+        for fused, composed in zip(gradients(lambda: T.attention(q, k, v, 2), [q, k, v], c),
+                                   gradients(lambda: composed_attention(q, k, v, 2),
+                                             [q, k, v], c)):
+            np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-14)
+
+    def test_attention_block_forward_matches_composed(self):
+        rng = np.random.default_rng(37)
+        mha = MultiHeadSelfAttention(8, 2, rng)
+        x = Tensor(rng.standard_normal((3, 5, 8)))
+        merged = composed_attention(composed_linear(mha.wq, x), composed_linear(mha.wk, x),
+                                    composed_linear(mha.wv, x), 2)
+        expect = composed_layer_norm(mha.norm, x + composed_linear(mha.wo, merged))
+        assert np.array_equal(mha(x).data, expect.data)
+
+    def test_embedding_backward_equals_add_at(self):
+        rng = np.random.default_rng(38)
+        table = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        ids = rng.integers(0, 4, (5, 7))  # ids repeat, and rows 4 and 5 get none
+        g = rng.standard_normal((5, 7, 3))
+        T.embedding(table, ids).backward(g)
+        expect = np.zeros((6, 3))
+        np.add.at(expect, ids, g)
+        assert np.array_equal(table.grad, expect)
+
+    def test_take_backward_equals_add_at(self):
+        rng = np.random.default_rng(39)
+        a = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+        idx = (rng.integers(0, 2, 20), rng.integers(0, 3, 20), np.full(20, 1))
+        g = rng.standard_normal((20, 5))
+        T.take(a, idx).backward(g)
+        expect = np.zeros(a.shape)
+        np.add.at(expect, idx, g)
+        assert np.array_equal(a.grad, expect)
+
+
 class TestNoGrad:
     def test_records_no_tape_inside_only(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
