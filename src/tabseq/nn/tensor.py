@@ -176,17 +176,35 @@ def matmul(a, b) -> Tensor:
     return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward_fn=backward)
 
 
+# Most multiply-adds in one weight-gradient GEMM. OpenBLAS runs a product this
+# small on the calling thread. One GEMM over all rows wakes its thread pool: on
+# two cores the field encoder's [3840, 16]ᵀ @ [3840, 64] then ran ten times
+# slower than on one thread, and the worker spun between calls, so training
+# time swung with whatever else ran on the machine.
+_GEMM_MAX_MNK = 1 << 18
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``x.T @ g`` for [R, n_in] and [R, n_out] rows, accumulated over blocks of
+    rows that each stay within ``_GEMM_MAX_MNK``."""
+    step = max(1, _GEMM_MAX_MNK // (x.shape[1] * g.shape[1]))
+    gw = x[:step].T @ g[:step]
+    for start in range(step, len(x), step):
+        gw += x[start:start + step].T @ g[start:start + step]
+    return gw
+
+
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` for ``x`` of shape [..., n_in] as one node. The forward is
-    numpy's batched matmul; the weight gradient is one GEMM over every leading
-    axis, and the input gradient is skipped when ``x`` needs none."""
+    numpy's batched matmul; the weight gradient flattens every leading axis into
+    rows, and the input gradient is skipped when ``x`` needs none."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
 
     def backward(g):
         n_in, n_out = w.shape
         rows = g.reshape(-1, n_out)
         gx = np.matmul(g, w.data.T) if x.requires_grad else None
-        return gx, x.data.reshape(-1, n_in).T @ rows, rows.sum(axis=0)
+        return gx, _weight_grad(x.data.reshape(-1, n_in), rows), rows.sum(axis=0)
 
     return Tensor(np.matmul(x.data, w.data) + b.data, _parents=(x, w, b), _backward_fn=backward)
 

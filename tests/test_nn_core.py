@@ -167,6 +167,17 @@ class TestFusedKernels:
                                    gradients(lambda: composed_linear(lin, x), params, c)):
             np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-14)
 
+    def test_linear_weight_gradient_over_many_row_blocks(self):
+        # 1800 rows of a 16 -> 64 layer span seven full row blocks and a partial one
+        rng = np.random.default_rng(37)
+        lin = Linear(16, 64, rng)
+        x = Tensor(rng.standard_normal((300, 6, 16)))
+        c = rng.standard_normal((300, 6, 64))
+        params = [lin.weight, lin.bias]
+        for fused, composed in zip(gradients(lambda: lin(x), params, c),
+                                   gradients(lambda: composed_linear(lin, x), params, c)):
+            np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
+
     def test_linear_skips_input_gradient_of_constant(self):
         rng = np.random.default_rng(32)
         lin = Linear(4, 2, rng)
