@@ -41,6 +41,7 @@ from .training import (
     preset_model_spec,
     pretrain_mlm,
     preset_train_config,
+    require_partitions,
     save_model,
     split_entities,
     train_supervised,
@@ -170,9 +171,7 @@ def prepare(exp: ExperimentConfig):
     windows = make_windows(dataset, exp.window_size, exp.stride, TASKS[exp.task][0])
     splits = split_entities(windows, exp.val_fraction, exp.test_fraction, exp.seed,
                             {r.entity for r in dataset.records})
-    for name, part in zip(("train", "validation", "test"), splits):
-        if not part:
-            raise ConfigError(f"entity split produced an empty {name} partition")
+    require_partitions(splits)
     train_entities = {w.entity for w in splits[0]}
     artifact = fit_preprocess(
         Dataset(dataset.schema, tuple(r for r in dataset.records if r.entity in train_entities)),

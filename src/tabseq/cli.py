@@ -31,6 +31,7 @@ from .training import (
     preset_model_spec,
     preset_train_config,
     pretrain_mlm,
+    require_partitions,
     restore_model,
     save_model,
     split_entities,
@@ -118,9 +119,10 @@ def cmd_finetune(args) -> int:
     model = restore_model(args.checkpoint, artifact, head=TASKS[args.task][1], seed=args.seed)
     family = model.spec.family
     dataset = _dataset(args, artifact)
-    train_w, val_w, _ = split_entities(_windows(dataset, args), args.val_fraction,
-                                       args.test_fraction, args.seed,
-                                       {r.entity for r in dataset.records})
+    train_w, val_w, _ = splits = split_entities(_windows(dataset, args), args.val_fraction,
+                                                args.test_fraction, args.seed,
+                                                {r.entity for r in dataset.records})
+    require_partitions(splits[:2])  # the test partition goes unused here
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed)
     model, history = train_supervised(

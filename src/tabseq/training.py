@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import JsonConfig, output_to
-from .errors import ConfigError, DegenerateLabels, DivergenceError, RangeError, VocabularyMismatch
+from .errors import (ConfigError, DegenerateLabels, DivergenceError, EmptyResult, RangeError,
+                     ShapeError, VocabularyMismatch)
 from .metrics import f1, rank_metrics, rmse, tie_fraction
 from .models import HierarchicalModel, ModelSpec, build_model
 from .nn import Adam, cross_entropy, mse
@@ -113,20 +114,28 @@ def split_entities(windows: list[SequenceWindow], val_fraction: float,
     return train, val, test
 
 
-def encode_inputs(windows: list[SequenceWindow], artifact: PreprocessArtifact,
-                  family: str) -> tuple:
-    """The model inputs of ``family`` for the windows: ``(features,)`` for
-    vanilla and twin_tower, ``(ids, raw)`` for the hierarchical families, with
-    ``raw`` None unless the family is hierarchical_joint."""
-    schema = artifact.schema
+def require_partitions(splits) -> None:
+    """Reject an entity split whose (train, validation[, test]) partitions
+    include an empty one."""
+    for name, part in zip(("train", "validation", "test"), splits):
+        if not part:
+            raise ConfigError(f"entity split produced an empty {name} partition")
+
+
+def encode_inputs(windows: list[SequenceWindow], artifact: PreprocessArtifact, family: str):
+    """``family``'s model inputs for equal-length windows, from one encoder call over all
+    their rows: ``(features,)``, or ``(ids, raw)`` with ``raw`` only for hierarchical_joint."""
+    if not windows:
+        raise EmptyResult("no windows to encode")
+    shape = (len(windows), len(windows[0].rows), artifact.schema.n_features)
+    if any(len(w.rows) != shape[1] for w in windows):
+        raise ShapeError(f"windows to encode differ in length (the first has {shape[1]} rows)")
+    block = SequenceWindow("", tuple(r for w in windows for r in w.rows))
     if not family.startswith("hierarchical"):
-        return (np.stack([encode_numeric(w, schema, artifact.numeric).values
-                          for w in windows]),)
-    keep_raw = family == "hierarchical_joint"
-    grids = [encode_tokens(w, schema, artifact.vocab, artifact.quantizers, keep_raw)
-             for w in windows]
-    raw = np.stack([g.raw for g in grids]) if keep_raw else None
-    return np.stack([g.ids for g in grids]), raw
+        return (encode_numeric(block, artifact.schema, artifact.numeric).values.reshape(shape),)
+    grid = encode_tokens(block, artifact.schema, artifact.vocab, artifact.quantizers,
+                         family == "hierarchical_joint")
+    return grid.ids.reshape(shape), None if grid.raw is None else grid.raw.reshape(shape)
 
 
 def window_labels(windows: list[SequenceWindow]) -> np.ndarray:

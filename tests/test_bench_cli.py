@@ -681,6 +681,21 @@ class TestCli:
         assert "sum to less than 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("val, test, empty", [("0", "0.15", "validation"),
+                                                  ("0.5", "0.49", "train")])
+    def test_finetune_rejects_empty_partition(self, val, test, empty, pipeline, trained_run,
+                                              tmp_path, capsys):
+        # 40 entities: --val-fraction 0 leaves no validation entity, 20 + 20 leave no train one
+        _, data_dir, _ = pipeline
+        _, run = trained_run
+        args = self.evaluate_args(data_dir / "data.csv", data_dir, run)
+        out = tmp_path / "ft.ckpt"
+        assert main(["finetune", *args[1:], "--val-fraction", val, "--test-fraction", test,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: entity split produced an empty {empty} partition\n"
+        assert not out.exists()
+
     def test_pretrain_rejects_non_transformer_preset(self, pipeline, tmp_path, capsys):
         _, data_dir, artifact = pipeline
         assert main(["pretrain", "--data", str(data_dir / "data.csv"),

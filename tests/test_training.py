@@ -1,15 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tabseq.errors import ConfigError, DivergenceError, RangeError, ShapeError, VocabularyMismatch
+from tabseq.errors import (ConfigError, DivergenceError, EmptyResult, RangeError, ShapeError,
+                          VocabularyMismatch)
 from tabseq.metrics import f1, rmse
-from tabseq.models import ModelSpec, build_model
+from tabseq.models import FAMILIES, ModelSpec, build_model
 from tabseq.nn import cross_entropy, load_checkpoint, mse, save_checkpoint
 from tabseq.nn import tensor as T
-from tabseq.preprocess import MASK, N_SPECIALS, fit_preprocess
-from tabseq.schema import impute_missing, make_windows
+from tabseq.preprocess import MASK, N_SPECIALS, UNK, encode_numeric, encode_tokens, fit_preprocess
+from tabseq.schema import Dataset, impute_missing, make_windows
 from tabseq.training import (
     PRESET_NAMES,
     TrainConfig,
@@ -41,12 +43,18 @@ def separable_data(n=200, seed=0):
     return (x,), y
 
 
+def with_cell(d, row, name, value):
+    """``d`` with the cell of field ``name`` in record ``row`` replaced by ``value``."""
+    col = d.schema.index_of(name)
+    rec = d.records[row]
+    rec = replace(rec, values=rec.values[:col] + (value,) + rec.values[col + 1:])
+    return Dataset(d.schema, d.records[:row] + (rec,) + d.records[row + 1:])
+
+
 def token_fixture(fraud_dataset, n=5, joint=False):
     d = impute_missing(fraud_dataset)
     art = fit_preprocess(d, bins=6)
     windows = make_windows(d, n, 5)
-    from tabseq.preprocess import encode_tokens
-
     grids = [encode_tokens(w, d.schema, art.vocab, art.quantizers, keep_raw=joint)
              for w in windows]
     ids = np.stack([g.ids for g in grids])
@@ -163,14 +171,86 @@ class TestEncodeInputs:
 
     @pytest.mark.parametrize("family", ["vanilla", "twin_tower"])
     def test_feature_families(self, fraud_dataset, family):
-        from tabseq.preprocess import encode_numeric
-
         d = impute_missing(fraud_dataset)
         art = fit_preprocess(d, bins=6)
         windows = make_windows(d, 5, 5)
         (x,) = encode_inputs(windows, art, family)
         assert np.array_equal(x, np.stack([encode_numeric(w, d.schema, art.numeric).values
                                            for w in windows]))
+
+    @staticmethod
+    def per_window(windows, art, family):
+        """The reference: one single-window encoder call per window, stacked."""
+        if not family.startswith("hierarchical"):
+            return (np.stack([encode_numeric(w, art.schema, art.numeric).values
+                              for w in windows]),)
+        joint = family == "hierarchical_joint"
+        grids = [encode_tokens(w, art.schema, art.vocab, art.quantizers, joint)
+                 for w in windows]
+        raw = np.stack([g.raw for g in grids]) if joint else None
+        return np.stack([g.ids for g in grids]), raw
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("held_out", [False, True], ids=["fitted", "held_out"])
+    def test_bit_equal_to_per_window_encoders(self, fraud_dataset, family, stride, held_out):
+        d = impute_missing(fraud_dataset)
+        entities = sorted({r.entity for r in d.records})
+        fit_on = set(entities[:40]) if held_out else set(entities)
+        art = fit_preprocess(Dataset(d.schema, tuple(r for r in d.records if r.entity in fit_on)),
+                             bins=6)
+        if held_out:  # the other 20 entities, every 7th row in a category never fitted
+            d = Dataset(d.schema, tuple(r for r in d.records if r.entity not in fit_on))
+            for i in range(0, len(d.records), 7):
+                d = with_cell(d, i, "cat_0", "c_unseen")
+        windows = make_windows(d, 5, stride)
+        assert len({w.entity for w in windows}) == (20 if held_out else 60)
+        got, want = encode_inputs(windows, art, family), self.per_window(windows, art, family)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+        if held_out:  # the unseen category reached the encoders
+            c = [f.name for f in art.schema.feature_fields].index("cat_0")
+            unknown = UNK if family.startswith("hierarchical") \
+                else art.numeric.unknown_label("cat_0")
+            assert (got[0][..., c] == unknown).any()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("field_name", ["num_0", "cat_0"])
+    def test_missing_cell_rejected(self, fraud_dataset, family, field_name):
+        art = fit_preprocess(impute_missing(fraud_dataset), bins=6)
+        d = with_cell(fraud_dataset, 12, field_name, None)  # not imputed
+        with pytest.raises(RangeError, match=f"missing value in field '{field_name}'"):
+            encode_inputs(make_windows(d, 5, 5), art, family)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    @pytest.mark.parametrize("family", ["vanilla", "twin_tower"])
+    def test_non_finite_feature_rejected(self, fraud_dataset, family):
+        d = impute_missing(fraud_dataset)
+        art = fit_preprocess(d, bins=6)
+        name = min(art.numeric.stats, key=lambda f: art.numeric.stats[f][1])
+        assert art.numeric.stats[name][1] < 1.0  # so the largest float overflows
+        d = with_cell(d, 12, name, float(np.finfo(np.float64).max))
+        with pytest.raises(RangeError, match="feature matrix contains non-finite entries"):
+            encode_inputs(make_windows(d, 5, 5), art, family)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_empty_window_list_rejected(self, fraud_dataset, family):
+        art = fit_preprocess(impute_missing(fraud_dataset), bins=6)
+        with pytest.raises(EmptyResult, match="no windows to encode"):
+            encode_inputs([], art, family)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_unequal_window_lengths_rejected(self, fraud_dataset, family):
+        # as one block, lengths 2 and 4 would reshape into three windows of 2
+        d = impute_missing(fraud_dataset)
+        art = fit_preprocess(d, bins=6)
+        windows = [make_windows(d, 2, 2)[0], make_windows(d, 4, 4)[0]]
+        with pytest.raises(ShapeError, match="differ in length"):
+            encode_inputs(windows, art, family)
 
 
 class TestTrainSupervised:
