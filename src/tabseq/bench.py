@@ -44,6 +44,7 @@ from .training import (
     require_partitions,
     save_model,
     split_entities,
+    train_rows,
     train_supervised,
     window_labels,
 )
@@ -105,6 +106,9 @@ class ArmConfig(JsonConfig):
                                   "by the experiment, not the model block")
         family = self.architecture
         token_path = family.startswith("hierarchical")
+        if "mlm_probability" in self.train and not token_path:
+            raise ConfigError(f"{arm}: train key 'mlm_probability' needs a hierarchical "
+                              f"family, not {family!r}")
         if self.pretrain is not None and not token_path:
             raise ConfigError(f"{arm}: a pretrain block needs a hierarchical family, "
                               f"not {family!r}")
@@ -166,17 +170,13 @@ def load_experiment_config(path) -> dict:
 
 def prepare(exp: ExperimentConfig):
     """Load, impute, window, split and fit: returns the (train, val, test)
-    window lists and the artifact fitted on the train entities' rows."""
+    window lists and the artifact fitted on ``train_rows``."""
     dataset = impute_missing(exp.data.load(exp.task))
     windows = make_windows(dataset, exp.window_size, exp.stride, TASKS[exp.task][0])
-    splits = split_entities(windows, exp.val_fraction, exp.test_fraction, exp.seed,
-                            {r.entity for r in dataset.records})
+    split = (exp.val_fraction, exp.test_fraction, exp.seed)
+    splits = split_entities(windows, *split, {r.entity for r in dataset.records})
     require_partitions(splits)
-    train_entities = {w.entity for w in splits[0]}
-    artifact = fit_preprocess(
-        Dataset(dataset.schema, tuple(r for r in dataset.records if r.entity in train_entities)),
-        bins=exp.bins)
-    return splits, artifact
+    return splits, fit_preprocess(train_rows(dataset, *split), bins=exp.bins)
 
 
 def _arm_configs(arm: ArmConfig, index: int, exp: ExperimentConfig, artifact: PreprocessArtifact):
@@ -353,40 +353,33 @@ def _grid_points(grid: dict, budget: int | None, seed: int) -> list[dict]:
 
 def sweep(cfg: dict, grid: dict, out_dir, budget: int | None = None) -> dict:
     """Grid (or budgeted random) search over TrainConfig/ModelSpec fields of
-    the first arm; selects the point with the best validation metric and
-    reports that point's test metrics."""
+    the first arm, each point one arm of a ``run_experiment`` run in
+    ``out_dir``; selects the point with the best validation metric and
+    reports that point's test metrics in sweep_report.json."""
     exp = ExperimentConfig.from_json(cfg)
     if not grid:
         raise ConfigError("sweep needs a non-empty grid")
-    with output_to(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
     base = exp.arms[0]
     model_keys = {f.name for f in fields(ModelSpec)}
-    splits, artifact = prepare(exp)
     points = _grid_points(grid, budget, exp.seed)
+    # each point trains from its own seed, unless the arm or the grid sets one
     arms = [replace(base, name=f"sweep_{i:03d}",
                     model={**base.model, **{k: v for k, v in p.items() if k in model_keys}},
-                    train={**base.train, **{k: v for k, v in p.items() if k not in model_keys}})
+                    train={"seed": _arm_seed(exp.seed, 100 + i), **base.train,
+                           **{k: v for k, v in p.items() if k not in model_keys}})
             for i, p in enumerate(points)]
-    configs = [_arm_configs(arm, 100 + i, exp, artifact) for i, arm in enumerate(arms)]
-
-    results = []
-    for point, arm, arm_configs in zip(points, arms, configs):
-        res = run_arm(arm, *arm_configs, splits, artifact, out_dir)
-        results.append({"point": point, "arm": arm.name,
-                        "val_metric": res["val_metric"], "test": res})
-
-    best = max(results, key=lambda r: r["val_metric"])
+    results = run_experiment({**cfg, "arms": [arm.to_json() for arm in arms]},
+                             out_dir)["deterministic"]["arms"]
+    scored = [{"point": p, "arm": arm.name, "val_metric": results[arm.name]["val_metric"]}
+              for p, arm in zip(points, arms)]
+    best = max(scored, key=lambda r: r["val_metric"])
     report = {
         "deterministic": {
             "config": cfg,
             "grid": grid,
             "budget": budget,
-            "points": [{"point": r["point"], "arm": r["arm"],
-                        "val_metric": r["val_metric"]} for r in results],
-            "best": {"point": best["point"], "arm": best["arm"],
-                     "val_metric": best["val_metric"],
-                     "test_metrics": {k: best["test"][k] for k in METRIC_KEYS}},
+            "points": scored,
+            "best": {**best, "test_metrics": {k: results[best["arm"]][k] for k in METRIC_KEYS}},
         },
         "timing": {"created": time.strftime("%Y-%m-%dT%H:%M:%S")},
     }

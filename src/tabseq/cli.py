@@ -35,7 +35,7 @@ from .training import (
     restore_model,
     save_model,
     split_entities,
-    split_entity_names,
+    train_rows,
     train_supervised,
     window_labels,
 )
@@ -56,11 +56,8 @@ def cmd_generate(args) -> int:
 
 def cmd_preprocess(args) -> int:
     dataset = impute_missing(load_csv(args.data, Schema.load(args.schema)))
-    train_set, _, _ = split_entity_names({r.entity for r in dataset.records},
-                                         args.val_fraction, args.test_fraction, args.seed)
-    train_data = Dataset(dataset.schema,
-                         tuple(r for r in dataset.records if r.entity in train_set))
-    artifact = fit_preprocess(train_data, bins=args.bins)
+    artifact = fit_preprocess(train_rows(dataset, args.val_fraction, args.test_fraction,
+                                         args.seed), bins=args.bins)
     artifact.save(args.out)
     print(f"vocabulary size {artifact.vocab.size}, hash {artifact.content_hash()[:12]}")
     return 0
@@ -72,18 +69,14 @@ def _dataset(args, artifact: PreprocessArtifact) -> Dataset:
     return impute_missing(load_csv(args.data, artifact.schema))
 
 
-def _windows(dataset: Dataset, args, rule=None):
-    return make_windows(dataset, args.window, args.stride, rule or TASKS[args.task][0])
-
-
 def cmd_pretrain(args) -> int:
     preset = load_transformer_preset(args.preset)
     artifact = PreprocessArtifact.load(args.artifact)
     sizes = {k: v for k, v in (("hidden", args.hidden), ("heads", args.heads)) if v}
     spec = preset_model_spec(preset, n=args.window, m=artifact.schema.n_features,
                              head="mlm", **sizes)
-    ids, raw = encode_inputs(_windows(_dataset(args, artifact), args, "none"), artifact,
-                             spec.family)
+    windows = make_windows(_dataset(args, artifact), args.window, args.stride, "none")
+    ids, raw = encode_inputs(windows, artifact, spec.family)
     cfg = preset_train_config(preset, seed=args.seed, epochs=args.epochs, patience=None)
     model = build_model(spec, seed=args.seed, vocab=artifact.vocab)
     model, history = pretrain_mlm(model, ids, raw, cfg)
@@ -104,8 +97,9 @@ def _experiment_config(args) -> dict:
 
 def cmd_train(args) -> int:
     cfg = _experiment_config(args)
-    arm_flags = ("preset", "upsample", "smote_k", "target_ratio")
-    overrides = {k: v for k, v in vars(args).items() if k in arm_flags and v is not None}
+    flags = {"preset": args.preset, "upsample": args.upsample, "smote_k": args.smote_k,
+             "target_ratio": args.target_ratio}
+    overrides = {k: v for k, v in flags.items() if v is not None}
     for arm in cfg["arms"]:
         arm.update(overrides)
         if args.tower_mask is not None:
@@ -119,9 +113,9 @@ def cmd_finetune(args) -> int:
     model = restore_model(args.checkpoint, artifact, head=TASKS[args.task][1], seed=args.seed)
     family = model.spec.family
     dataset = _dataset(args, artifact)
-    train_w, val_w, _ = splits = split_entities(_windows(dataset, args), args.val_fraction,
-                                                args.test_fraction, args.seed,
-                                                {r.entity for r in dataset.records})
+    windows = make_windows(dataset, args.window, args.stride, TASKS[args.task][0])
+    train_w, val_w, _ = splits = split_entities(windows, args.val_fraction, args.test_fraction,
+                                                args.seed, {r.entity for r in dataset.records})
     require_partitions(splits[:2])  # the test partition goes unused here
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed)
@@ -142,7 +136,8 @@ def cmd_evaluate(args) -> int:
     if model.spec.head != head:
         raise ConfigError(f"checkpoint has a {model.spec.head!r} head; "
                           f"--task {args.task} needs {head!r}")
-    windows = _windows(_dataset(args, artifact), args)
+    windows = make_windows(_dataset(args, artifact), args.window, args.stride,
+                           TASKS[args.task][0])
     scores = predict_scores(model, encode_inputs(windows, artifact, model.spec.family))
     result = evaluate_scores(scores, window_labels(windows), head)
     if result.pop("tie_warning", False):
@@ -200,22 +195,23 @@ def _print_arm_table(report: dict) -> None:
                   "rank metrics depend on stable input order")
 
 
-def _add_data_args(p):
+_DATA_FLAGS = {
+    "--artifact": {"required": True, "help": "preprocessing artifact JSON"},
+    "--seed": {"type": int, "default": bench.ExperimentConfig.seed},
+    "--val-fraction": {"type": float, "default": bench.ExperimentConfig.val_fraction},
+    "--test-fraction": {"type": float, "default": bench.ExperimentConfig.test_fraction},
+    "--task": {"choices": tuple(TASKS), "default": bench.ExperimentConfig.task},
+    "--window": {"type": int, "default": bench.ExperimentConfig.window_size},
+    "--stride": {"type": int, "default": bench.ExperimentConfig.stride},
+}
+
+
+def _add_data_args(p, *flags):
+    """``--data`` and ``--schema``, then each of ``flags``, keys of ``_DATA_FLAGS``."""
     p.add_argument("--data", required=True, help="CSV data file")
     p.add_argument("--schema", required=True, help="schema JSON file")
-    p.add_argument("--seed", type=int, default=bench.ExperimentConfig.seed)
-    p.add_argument("--val-fraction", type=float, default=bench.ExperimentConfig.val_fraction,
-                   dest="val_fraction")
-    p.add_argument("--test-fraction", type=float, default=bench.ExperimentConfig.test_fraction,
-                   dest="test_fraction")
-
-
-def _add_common_data_args(p):
-    _add_data_args(p)
-    p.add_argument("--artifact", required=True, help="preprocessing artifact JSON")
-    p.add_argument("--task", choices=tuple(TASKS), default=bench.ExperimentConfig.task)
-    p.add_argument("--window", type=int, default=bench.ExperimentConfig.window_size)
-    p.add_argument("--stride", type=int, default=bench.ExperimentConfig.stride)
+    for flag in flags:
+        p.add_argument(flag, **_DATA_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,18 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a synthetic dataset")
     p.add_argument("--config", required=True, help="generator config JSON")
-    p.add_argument("--task", choices=tuple(TASKS), default=bench.ExperimentConfig.task)
+    p.add_argument("--task", **_DATA_FLAGS["--task"])
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("preprocess", help="fit quantizers/vocabulary/stats")
-    _add_data_args(p)
+    _add_data_args(p, "--seed", "--val-fraction", "--test-fraction")
     p.add_argument("--bins", type=int, default=bench.ExperimentConfig.bins)
     p.add_argument("--out", required=True, help="artifact JSON path")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("pretrain", help="masked-cell pretraining")
-    _add_common_data_args(p)
+    _add_data_args(p, "--artifact", "--seed", "--window", "--stride")
     p.add_argument("--preset", required=True)
     p.add_argument("--epochs", type=int, default=bench.PretrainConfig.epochs)
     p.add_argument("--hidden", type=int, default=None)
@@ -258,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("finetune", help="fine-tune a pretrained checkpoint")
-    _add_common_data_args(p)
+    _add_data_args(p, "--artifact", "--seed", "--val-fraction", "--test-fraction", "--task",
+                   "--window", "--stride")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, dest="batch_size")
@@ -267,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
-    _add_common_data_args(p)
+    _add_data_args(p, "--artifact", "--task", "--window", "--stride")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None, help="metrics JSON path")
     p.set_defaults(func=cmd_evaluate)

@@ -70,6 +70,12 @@ class ModelSpec(JsonConfig):
         if self.tower_mask != "both" and self.family != "twin_tower":
             raise ConfigError(f"tower mask {self.tower_mask!r} needs the twin_tower family, "
                               f"not {self.family!r}")
+        if self.field_layers != 1 and not self.family.startswith("hierarchical"):
+            raise ConfigError(f"field_layers {self.field_layers} needs a hierarchical family, "
+                              f"not {self.family!r}")
+        if self.mlm_lambda != 1.0 and self.family != "hierarchical_joint":
+            raise ConfigError(f"mlm_lambda {self.mlm_lambda} needs the hierarchical_joint "
+                              f"family, not {self.family!r}")
 
 
 def expected_attention_pairs(spec: ModelSpec, batch: int, rows: int | None = None) -> int:

@@ -26,7 +26,7 @@ from .nn import Adam, cross_entropy, mse
 from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .preprocess import MASK, N_SPECIALS, PreprocessArtifact, encode_numeric, encode_tokens
-from .schema import SequenceWindow
+from .schema import Dataset, SequenceWindow
 
 # task -> (window labelling rule, model head)
 TASKS = {"fraud": ("any_positive", "binary"), "regression": ("last_target", "regression")}
@@ -112,6 +112,15 @@ def split_entities(windows: list[SequenceWindow], val_fraction: float,
     val = [w for w in windows if w.entity in val_set]
     test = [w for w in windows if w.entity in test_set]
     return train, val, test
+
+
+def train_rows(dataset: Dataset, val_fraction: float, test_fraction: float,
+               seed: int) -> Dataset:
+    """The rows of the train entities of ``dataset``'s entity split, an entity
+    with fewer rows than a window included: what a preprocessing artifact is fitted on."""
+    train_set, _, _ = split_entity_names({r.entity for r in dataset.records},
+                                         val_fraction, test_fraction, seed)
+    return Dataset(dataset.schema, tuple(r for r in dataset.records if r.entity in train_set))
 
 
 def require_partitions(splits) -> None:

@@ -1,4 +1,7 @@
+import argparse
+import ast
 import csv
+import inspect
 import json
 import math
 import re
@@ -11,6 +14,7 @@ import pytest
 
 from tabseq.bench import (
     CSV_HEADER,
+    METRIC_KEYS,
     ArmConfig,
     ExperimentConfig,
     _arm_seed,
@@ -160,10 +164,18 @@ class TestValidateConfig:
         (0, {"target_ratio": 0.5}, "target_ratio"),
         (None, {"seed": "7"}, "seed"),
         (None, {"window_size": 2.5}, "window_size"),
+        (0, {"train": {"mlm_probability": 0.15}}, "arm 'vanilla': train key 'mlm_probability'"),
+        (1, {"train": {"mlm_probability": 0.15}}, "arm 'twin': train key 'mlm_probability'"),
+        (0, {"model": {"field_layers": 2}}, "field_layers 2 .*\\(arm 'vanilla'\\)"),
+        (1, {"model": {"field_layers": 2}}, "field_layers 2 .*\\(arm 'twin'\\)"),
+        (1, {"model": {"mlm_lambda": 0.5}}, "mlm_lambda 0.5 .*\\(arm 'twin'\\)"),
+        (2, {"model": {"mlm_lambda": 0.5}}, "mlm_lambda 0.5 .*\\(arm 'hier'\\)"),
     ], ids=["pretrain-typo", "experiment-typo", "arm-typo", "arm-tower_mask",
             "pretrain-on-vanilla", "pretrain-on-twin", "smote_k-without-upsample",
             "smote_k-on-duplicate", "target_ratio-without-upsample", "string-seed",
-            "float-window"])
+            "float-window", "mlm_probability-on-vanilla", "mlm_probability-on-twin",
+            "field_layers-on-vanilla", "field_layers-on-twin", "mlm_lambda-on-twin",
+            "mlm_lambda-on-hierarchical"])
     def test_unused_or_wrong_key_fails_before_training(self, arm, patch, key, tmp_path):
         cfg = base_config()
         (cfg if arm is None else cfg["arms"][arm]).update(patch)
@@ -456,6 +468,27 @@ class TestSweep:
             row = best_history_row(tmp_path / f"{point['arm']}_history.csv")
             assert point["val_metric"] == float(row["val_metric"])
 
+    def test_sweep_checkpoint_can_be_scored(self, pipeline, tmp_path):
+        # the sweep runs its points as the arms of one experiment: its
+        # directory holds that experiment's artifact, report and metrics
+        _, data_dir, _ = pipeline
+        cfg = csv_config(data_dir, 0)
+        cfg["arms"][0]["train"]["epochs"] = 1
+        out = tmp_path / "sweep"
+        sweep(cfg, {"learning_rate": [1e-3, 1e-2]}, out)
+        assert {"preprocess.json", "report.json", "metrics.csv"} <= \
+            {p.name for p in out.iterdir()}
+        assert main(["evaluate", "--data", str(data_dir / "data.csv"),
+                     "--schema", str(data_dir / "schema.json"),
+                     "--artifact", str(out / "preprocess.json"), "--window", "5",
+                     "--stride", "5", "--checkpoint", str(out / "sweep_000_final.ckpt")]) == 0
+        swept = json.loads((out / "sweep_report.json").read_text())["deterministic"]
+        arms = json.loads((out / "report.json").read_text())["deterministic"]["arms"]
+        for point in swept["points"]:
+            assert point["val_metric"] == arms[point["arm"]]["val_metric"]
+        np.testing.assert_equal(swept["best"]["test_metrics"],
+                                {k: arms[swept["best"]["arm"]][k] for k in METRIC_KEYS})
+
 
 NO_FILE = "No such file or directory"
 
@@ -733,6 +766,52 @@ class TestCli:
         proc = subprocess.run(MODULE_HELP, capture_output=True, text=True)
         assert proc.returncode == 0
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("pretrain", "--task", "fraud"), ("pretrain", "--val-fraction", "0.2"),
+        ("pretrain", "--test-fraction", "0.2"), ("evaluate", "--seed", "1"),
+        ("evaluate", "--val-fraction", "0.2"), ("evaluate", "--test-fraction", "0.2"),
+    ])
+    def test_unread_flag_is_a_usage_error(self, command, flag, value, tmp_path, capsys):
+        # every required flag is given, so only the unread one stops the parse
+        given = {"pretrain": ["--preset", "fraud_tabbert"], "evaluate": ["--checkpoint", "c"]}
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", "d", "--schema", "s", "--artifact", "a",
+                  *given[command], "--out", str(tmp_path / "out"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def cli_reads(functions: dict, name: str, seen: set) -> set:
+    """The ``args`` attributes the cli.py function ``name`` reads, itself or
+    through the cli.py functions it calls."""
+    seen.add(name)
+    found = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            found.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in functions and node.func.id not in seen:
+            found |= cli_reads(functions, node.func.id, seen)
+    return found
+
+
+def test_every_cli_flag_is_read():
+    # a flag a command parses but never reads would be accepted and ignored
+    source = inspect.getsource(cli)
+    assert "vars(args)" not in source and "getattr(args" not in source  # reads are attributes
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    unread = {}
+    for command, parser in commands.choices.items():
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        missing = dests - cli_reads(functions, parser.get_default("func").__name__, set())
+        if missing:
+            unread[command] = sorted(missing)
+    assert unread == {}
+
 
 @pytest.mark.parametrize("writer", ["save_checkpoint", "save_csv", "to_csv", "write_report"])
 def test_writer_names_unwritable_path(writer, report_dir, tmp_path):
@@ -771,7 +850,8 @@ def test_commands_share_one_entity_split(tmp_path, monkeypatch):
 
     cfg = base_config(seed=0, window_size=10, stride=1)
     cfg["data"] = {"csv": str(csv_path), "schema": str(schema_path)}
-    assert within_expected(prepare(ExperimentConfig.from_json(cfg))[0])
+    splits, prepared = prepare(ExperimentConfig.from_json(cfg))
+    assert within_expected(splits)
 
     data_args = ["--data", str(csv_path), "--schema", str(schema_path), "--seed", "0"]
     artifact = tmp_path / "artifact.json"
@@ -780,6 +860,8 @@ def test_commands_share_one_entity_split(tmp_path, monkeypatch):
     assert fitted.content_hash() == fit_preprocess(
         Dataset(kept.schema, tuple(r for r in kept.records if r.entity in expect[0])),
         bins=4).content_hash()
+    # `tabseq train` fits its artifact on the same rows, the short entities' too
+    assert prepared.content_hash() == fitted.content_hash()
     common = [*data_args, "--artifact", str(artifact), "--window", "10", "--stride", "1"]
     ckpt = tmp_path / "pre.ckpt"
     assert main(["pretrain", *common, "--preset", "default_tabbert", "--hidden", "8",

@@ -91,7 +91,8 @@ class TestAttentionAccounting:
     def test_measured_equals_closed_form(self, family, n, layers):
         rng = np.random.default_rng(0)
         m = 3
-        spec = ModelSpec(family, n, m, hidden=8, heads=2, layers=layers, field_layers=2)
+        field = {"field_layers": 2} if family.startswith("hierarchical") else {}
+        spec = ModelSpec(family, n, m, hidden=8, heads=2, layers=layers, **field)
         model, inputs = self.fixture_inputs(spec, rng)
         if family.startswith("hierarchical"):
             model(inputs[0])
