@@ -72,7 +72,7 @@ def _dataset(args, artifact: PreprocessArtifact) -> Dataset:
 def cmd_pretrain(args) -> int:
     preset = load_transformer_preset(args.preset)
     artifact = PreprocessArtifact.load(args.artifact)
-    sizes = {k: v for k, v in (("hidden", args.hidden), ("heads", args.heads)) if v}
+    sizes = {k: v for k, v in (("hidden", args.hidden), ("heads", args.heads)) if v is not None}
     spec = preset_model_spec(preset, n=args.window, m=artifact.schema.n_features,
                              head="mlm", **sizes)
     windows = make_windows(_dataset(args, artifact), args.window, args.stride, "none")
@@ -115,7 +115,7 @@ def cmd_finetune(args) -> int:
     dataset = _dataset(args, artifact)
     windows = make_windows(dataset, args.window, args.stride, TASKS[args.task][0])
     train_w, val_w, _ = splits = split_entities(windows, args.val_fraction, args.test_fraction,
-                                                args.seed, {r.entity for r in dataset.records})
+                                                args.seed, dataset.entities)
     require_partitions(splits[:2])  # the test partition goes unused here
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed)

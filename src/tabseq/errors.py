@@ -55,7 +55,3 @@ class DivergenceError(TabseqError):
 
 class VocabularyMismatch(TabseqError):
     """Checkpoint was built against a different preprocessing artifact."""
-
-
-class NonFiniteError(TabseqError):
-    """A function or gradient evaluated to NaN or infinity."""

@@ -59,6 +59,8 @@ class ModelSpec(JsonConfig):
             raise ConfigError(f"unknown head {self.head!r}")
         if self.n < 1 or self.m < 1:
             raise ConfigError("window length and width must be >= 1")
+        if self.hidden < 1 or self.heads < 1:
+            raise ConfigError("hidden units and attention heads must be >= 1")
         if self.hidden % self.heads != 0:
             raise ConfigError("hidden units must be divisible by attention heads")
         if self.head == "mlm" and not self.family.startswith("hierarchical"):

@@ -1,6 +1,5 @@
 from . import tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .gradcheck import grad_check
 from .layers import (
     AttentionCounter,
     Embedding,
@@ -30,7 +29,6 @@ __all__ = [
     "TaskHead",
     "Tensor",
     "cross_entropy",
-    "grad_check",
     "load_checkpoint",
     "mse",
     "save_checkpoint",

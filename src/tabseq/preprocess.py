@@ -22,7 +22,8 @@ import numpy as np
 
 from .config import read_json, write_json
 from .errors import FieldKindError, RangeError, ShapeError
-from .schema import MISSING_CATEGORY, Dataset, FieldKind, Schema, SequenceWindow
+from .schema import (MISSING_CATEGORY, Column, Dataset, FieldKind, Rows, Schema, SequenceWindow,
+                     columns_of)
 
 PAD, MASK, UNK, CLS = 0, 1, 2, 3
 N_SPECIALS = 4
@@ -65,10 +66,7 @@ def fit_quantizer(d: Dataset, field_name: str, bins: int) -> Quantizer:
         raise FieldKindError(f"field {field_name!r} is not numerical")
     if bins < 1:
         raise RangeError("bin count must be >= 1")
-    col = d.schema.index_of(field_name)
-    values = np.array(
-        [r.values[col] for r in d.records if r.values[col] is not None], dtype=np.float64
-    )
+    values = _present(d.columns[d.schema.index_of(field_name)])
     if values.size == 0:
         return Quantizer(field_name, (), 1)
     b = min(bins, len(np.unique(values)))
@@ -78,6 +76,11 @@ def fit_quantizer(d: Dataset, field_name: str, bins: int) -> Quantizer:
     edges = np.quantile(values, qs, method="averaged_inverted_cdf")
     edges = sorted(set(float(e) for e in edges))
     return Quantizer(field_name, tuple(edges), len(edges) + 1)
+
+
+def _present(col: Column) -> np.ndarray:
+    """The column's cells that are not missing, in row order."""
+    return col.data if col.missing is None else col.data[~col.missing]
 
 
 def _check_quantizable(v: np.ndarray) -> None:
@@ -148,12 +151,9 @@ def build_vocabulary(d: Dataset, quantizers: dict[str, Quantizer]) -> Vocabulary
     next_id = N_SPECIALS
     for spec in d.schema.feature_fields:
         if spec.kind is FieldKind.CATEGORICAL:
-            col = d.schema.index_of(spec.name)
-            observed = sorted(
-                {r.values[col] for r in d.records if r.values[col] is not None}
-                - {MISSING_CATEGORY}
-            )
-            entries = tuple(observed) + (MISSING_CATEGORY,)
+            col = d.columns[d.schema.index_of(spec.name)]
+            observed = [col.categories[i] for i in np.unique(_present(col)).tolist()]
+            entries = tuple(c for c in observed if c != MISSING_CATEGORY) + (MISSING_CATEGORY,)
         else:
             if spec.name not in quantizers:
                 raise FieldKindError(f"no quantizer supplied for numerical field {spec.name!r}")
@@ -191,13 +191,19 @@ class FeatureMatrix:
             raise RangeError("feature matrix contains non-finite entries")
 
 
-def _feature_cells(w: SequenceWindow, schema: Schema) -> list[tuple]:
-    """The window's cells as one tuple per feature field; rejects a missing cell."""
-    columns = list(zip(*(rec.values for rec in w.rows))) or [()] * len(schema.fields)
-    cells = [columns[c] for c in schema.feature_columns]
-    for spec, col in zip(schema.feature_fields, cells):
-        if None in col:
+def _feature_cells(w: SequenceWindow, schema: Schema) -> list[tuple[Column, np.ndarray]]:
+    """Each feature field's column and its cells at the window's rows; rejects a
+    missing cell."""
+    if isinstance(w.rows, Rows):
+        columns, at = w.rows.dataset.columns, w.rows.positions
+    else:  # a window of hand-built records
+        columns, at = columns_of(schema, [r.values for r in w.rows]), slice(None)
+    cells = []
+    for spec, c in zip(schema.feature_fields, schema.feature_columns):
+        col = columns[c]
+        if col.missing is not None and col.missing[at].any():
             raise RangeError(f"missing value in field {spec.name!r}; impute first")
+        cells.append((col, col.data[at]))
     return cells
 
 
@@ -209,7 +215,7 @@ def encode_tokens(
     keep_raw: bool = False,
 ) -> TokenGrid:
     """Map every cell of a window to its token id: one ``searchsorted`` per
-    numerical field, one table lookup per categorical cell.
+    numerical field, one lookup per category of a categorical field.
 
     Missing cells in any field are reported before non-finite values.
     """
@@ -217,25 +223,19 @@ def encode_tokens(
     if schema.feature_names != vocab.field_names:
         raise ShapeError("window schema does not match vocabulary fields")
     cells = _feature_cells(w, schema)
-    n = len(w.rows)
-    m = len(feats)
-    numerical = [j for j, spec in enumerate(feats) if spec.kind is FieldKind.NUMERICAL]
-    values = np.array([cells[j] for j in numerical], dtype=np.float64).reshape(len(numerical), n)
-    _check_quantizable(values)
-    values_of = dict(zip(numerical, values))
-    tokens = []
-    for j, (spec, col) in enumerate(zip(feats, cells)):
+    for spec, (col, x) in zip(feats, cells):
+        if spec.kind is FieldKind.NUMERICAL and not col.finite:
+            _check_quantizable(x)
+    ids = np.empty((len(w.rows), len(feats)), dtype=np.int64)
+    raw = np.zeros(ids.shape, dtype=np.float64) if keep_raw else None
+    for j, (spec, (col, x)) in enumerate(zip(feats, cells)):
         if spec.kind is FieldKind.NUMERICAL:
-            bins = quantizers[spec.name].edge_array.searchsorted(values_of[j], side="left")
-            tokens.append(bins + vocab.field_tokens(spec.name).start)
+            bins = quantizers[spec.name].edge_array.searchsorted(x, side="left")
+            ids[:, j] = bins + vocab.field_tokens(spec.name).start
+            if raw is not None:
+                raw[:, j] = x
         else:
-            table = vocab.category_tokens[spec.name]
-            tokens.append([table.get(c, UNK) for c in col])
-    ids = np.array(tokens, dtype=np.int64).reshape(m, n).T.copy()
-    raw = None
-    if keep_raw:
-        raw = np.zeros((n, m), dtype=np.float64)
-        raw[:, numerical] = values.T
+            ids[:, j] = col.lookup(vocab.category_tokens[spec.name], UNK)[x]
     return TokenGrid(ids, raw)
 
 
@@ -261,12 +261,8 @@ def fit_numeric_encoder(d: Dataset, vocab: Vocabulary) -> NumericEncoder:
     stats = {}
     tables = {}
     for spec in d.schema.feature_fields:
-        col = d.schema.index_of(spec.name)
         if spec.kind is FieldKind.NUMERICAL:
-            vals = np.array(
-                [r.values[col] for r in d.records if r.values[col] is not None],
-                dtype=np.float64,
-            )
+            vals = _present(d.columns[d.schema.index_of(spec.name)])
             if vals.size == 0:
                 stats[spec.name] = (0.0, STD_FLOOR)
             else:
@@ -279,22 +275,20 @@ def fit_numeric_encoder(d: Dataset, vocab: Vocabulary) -> NumericEncoder:
 
 def encode_numeric(w: SequenceWindow, schema: Schema, enc: NumericEncoder) -> FeatureMatrix:
     """Standardize numerical cells and label-encode categorical cells: one
-    table lookup per categorical cell, then ``(v - mean) / std`` over the
-    whole window."""
+    lookup per category, then ``(v - mean) / std`` over the whole window."""
     feats = schema.feature_fields
-    columns, stats = [], []
-    for spec, col in zip(feats, _feature_cells(w, schema)):
+    x = np.empty((len(w.rows), len(feats)), dtype=np.float64)
+    stats = []
+    for j, (spec, (col, cells)) in enumerate(zip(feats, _feature_cells(w, schema))):
         if spec.kind is FieldKind.NUMERICAL:
-            columns.append(col)
+            x[:, j] = cells
             stats.append(enc.stats[spec.name])
         else:
             table = enc.label_tables[spec.name]
-            unk = enc.unknown_label(spec.name)
-            columns.append([table.get(c, unk) for c in col])
+            x[:, j] = col.lookup(table, enc.unknown_label(spec.name))[cells]
             stats.append((0.0, 1.0))  # (label - 0.0) / 1.0 is the label, exactly
-    x = np.array(columns, dtype=np.float64).reshape(len(feats), len(w.rows))
     mean, std = np.array(stats, dtype=np.float64).T
-    return FeatureMatrix(np.divide(x.T - mean, std, order="C"))
+    return FeatureMatrix(np.divide(x - mean, std, order="C"))
 
 
 @dataclass(frozen=True)

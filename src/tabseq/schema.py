@@ -1,21 +1,38 @@
-"""Column schema, dataset representation, imputation, and window construction.
+"""Column schema, columnar datasets, imputation, and window construction.
 
-Values are plain Python objects: ``str`` for categorical cells, ``float``
-for numerical cells, and ``None`` for missing cells.
+A ``Dataset`` holds its rows column by column, sorted by (entity, time index):
+
+* ``entities`` is the sorted tuple of distinct entity names and ``entity``
+  each row's int64 code into it; ``time_index`` is int64;
+* ``columns`` holds one ``Column`` per schema field, in field order: float64
+  values for a numerical field, or int64 codes into the field's sorted
+  distinct strings for a categorical one, each with a mask of its missing
+  cells.
+
+``Dataset.records`` and a window's ``rows`` read the columns back as
+``Record``s of plain Python values: ``str`` for categorical cells, ``float``
+for numerical cells, and ``None`` for missing cells. A ``SequenceWindow``
+made by ``make_windows`` refers to its rows by position in its dataset.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from .config import JsonConfig, output_to, read_json, write_json
-from .errors import EmptyResult, ParseError, RangeError, SchemaMismatch
+from .errors import EmptyResult, FieldKindError, ParseError, RangeError, SchemaMismatch
 
 MISSING_CATEGORY = "__MISSING__"
+CSV_BLOCK_ROWS = 4096  # rows load_csv holds as text at once
 
 
 class FieldKind(str, Enum):
@@ -97,8 +114,7 @@ class Schema(JsonConfig):
         return cls.from_json(read_json(path))
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One row: values aligned to schema field order."""
 
     values: tuple
@@ -106,45 +122,198 @@ class Record:
     time_index: int
 
 
-@dataclass(frozen=True)
-class Dataset:
-    schema: Schema
-    records: tuple[Record, ...] = field(default=())
+@dataclass(frozen=True, eq=False)
+class Column:
+    """One field's cells: float64 ``data`` for a numerical field, or int64 codes
+    into the sorted distinct strings ``categories`` for a categorical one.
+    ``missing`` masks the missing cells, which hold 0.0 or code -1; it is None
+    when no cell is missing. ``finite`` says every numerical cell is finite."""
+
+    data: np.ndarray
+    categories: tuple[str, ...] | None = None
+    missing: np.ndarray | None = None
+    finite: bool = field(init=False)
+    _lookups: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        n = len(self.schema.fields)
-        seen = set()
-        prev = None
-        for rec in self.records:
-            if len(rec.values) != n:
-                raise SchemaMismatch(
-                    f"record for entity {rec.entity!r} has {len(rec.values)} values, expected {n}"
-                )
-            key = (rec.entity, rec.time_index)
-            if key in seen:
-                raise SchemaMismatch(f"duplicate (entity, time_index) pair {key}")
-            seen.add(key)
-            if prev is not None and key < prev:
-                raise SchemaMismatch("records not sorted by (entity, time_index)")
-            prev = key
+        object.__setattr__(self, "finite", self.categories is not None
+                           or bool(np.isfinite(self.data).all()))
+
+    def take(self, rows) -> "Column":
+        missing = None if self.missing is None else self.missing[rows]
+        return Column(self.data[rows], self.categories,
+                      missing if missing is not None and missing.any() else None)
+
+    def lookup(self, table: dict, default: int) -> np.ndarray:
+        """Each category's entry in ``table`` (``default`` when absent), looked up
+        once per table, as an array that the codes index."""
+        key = (id(table), default)
+        if key not in self._lookups:  # the entry holds the table, so its id stays unique
+            self._lookups[key] = table, np.array([table.get(c, default) for c in self.categories],
+                                                 dtype=np.int64)
+        return self._lookups[key][1]
+
+    def values(self) -> list:
+        """The cells as Python values: ``float`` or ``str``, and ``None`` where missing."""
+        if self.categories is not None:
+            return list(map((*self.categories, None).__getitem__, self.data.tolist()))
+        cells = self.data.tolist()
+        if self.missing is not None:
+            for i in np.flatnonzero(self.missing).tolist():
+                cells[i] = None
+        return cells
+
+
+def _factorize(cells, empty=None) -> tuple[tuple, np.ndarray]:
+    """The sorted distinct ``cells`` other than ``empty``, and each cell's int64
+    code into them (-1 for ``empty``)."""
+    names = sorted(set(cells) - {empty})
+    where = dict(zip(names, range(len(names))))
+    where[empty] = -1
+    return tuple(names), np.fromiter(map(where.__getitem__, cells), np.int64, len(cells))
+
+
+def _column(cells, kind: FieldKind, empty) -> Column:
+    """The column of ``cells`` (CSV text or Python values), where ``empty`` marks a
+    missing cell; a numerical cell that ``float`` rejects raises ValueError."""
+    missing = np.array([c == empty for c in cells], dtype=bool) if empty in cells else None
+    if kind is FieldKind.CATEGORICAL:
+        categories, codes = _factorize(cells, empty)
+        return Column(codes, categories, missing)
+    if missing is not None:
+        cells = [0.0 if m else c for c, m in zip(cells, missing.tolist())]
+    return Column(np.fromiter(map(float, cells), np.float64, len(cells)), None, missing)
+
+
+def columns_of(schema: Schema, values) -> tuple[Column, ...]:
+    """The columns of rows of Python values, in schema field order, unchecked."""
+    cells = list(zip(*values)) or [()] * len(schema.fields)
+    return tuple(_column(c, spec.kind, None) for c, spec in zip(cells, schema.fields))
+
+
+class Dataset:
+    """Rows of one schema, stored column-wise and sorted by unique (entity,
+    time index) keys; the module docstring describes the columns."""
+
+    def __init__(self, schema: Schema, records=()):
+        records = tuple(records)
+        values, names, times = zip(*records) if records else ((), (), ())
+        entities, entity = _factorize(names)
+        time_index = np.array(times) if records else np.zeros(0, dtype=np.int64)
+        if time_index.dtype != np.int64:
+            raise SchemaMismatch("record time indices must be 64-bit integers")
+        if set(map(len, values)) - {len(schema.fields)} or not _keys_increase(entity, time_index):
+            _check_records(schema, records)
+        self._assign(schema, entities, entity, time_index, columns_of(schema, values))
+
+    @classmethod
+    def from_columns(cls, schema: Schema, entities: tuple[str, ...], entity: np.ndarray,
+                     time_index: np.ndarray, columns: tuple[Column, ...]) -> "Dataset":
+        """A dataset of columns already sorted by unique (entity, time index) keys."""
+        d = cls.__new__(cls)
+        d._assign(schema, entities, entity, time_index, columns)
+        return d
+
+    def _assign(self, schema, entities, entity, time_index, columns) -> None:
+        self.schema = schema
+        self.entities = entities  # sorted distinct entity names
+        self.entity = entity  # each row's code into entities
+        self.time_index = time_index
+        self.columns = columns  # one per schema field
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.time_index)
 
-    def by_entity(self) -> dict[str, list[Record]]:
-        groups: dict[str, list[Record]] = {}
-        for rec in self.records:
-            groups.setdefault(rec.entity, []).append(rec)
-        return groups
+    @cached_property
+    def records(self) -> tuple[Record, ...]:
+        """The rows as Records of plain Python values."""
+        entities = map(self.entities.__getitem__, self.entity.tolist())
+        rows = zip(zip(*(c.values() for c in self.columns)), entities, self.time_index.tolist())
+        return tuple(map(Record._make, rows))
+
+    def take(self, rows) -> "Dataset":
+        """The rows at ``rows``, a mask or ascending positions."""
+        present, entity = np.unique(self.entity[rows], return_inverse=True)
+        return Dataset.from_columns(self.schema, tuple(map(self.entities.__getitem__,
+                                                           present.tolist())),
+                                    entity, self.time_index[rows],
+                                    tuple(c.take(rows) for c in self.columns))
 
 
-@dataclass(frozen=True)
+def _keys_increase(entity: np.ndarray, time_index: np.ndarray) -> bool:
+    """Whether the (entity code, time index) keys strictly increase row by row."""
+    de, dt = np.diff(entity), np.diff(time_index)
+    return bool(np.all((de > 0) | ((de == 0) & (dt > 0))))
+
+
+def _check_records(schema: Schema, records) -> None:
+    """Raise for the first record of the wrong width, with a duplicate key, or
+    out of (entity, time_index) order."""
+    n = len(schema.fields)
+    seen = set()
+    prev = None
+    for rec in records:
+        if len(rec.values) != n:
+            raise SchemaMismatch(
+                f"record for entity {rec.entity!r} has {len(rec.values)} values, expected {n}"
+            )
+        key = (rec.entity, rec.time_index)
+        if key in seen:
+            raise SchemaMismatch(f"duplicate (entity, time_index) pair {key}")
+        seen.add(key)
+        if prev is not None and key < prev:
+            raise SchemaMismatch("records not sorted by (entity, time_index)")
+        prev = key
+
+
+class Rows(Sequence):
+    """The rows of ``dataset`` at ``index``, a ``range`` or an int64 array of
+    positions, read as Records."""
+
+    __slots__ = ("dataset", "index")
+
+    def __init__(self, dataset: Dataset, index):
+        self.dataset = dataset
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Rows(self.dataset, self.index[i])
+        return self.dataset.records[self.index[i]]
+
+    def __iter__(self):
+        records = self.dataset.records
+        return (records[i] for i in self.index)
+
+    @property
+    def positions(self):
+        """The rows as a numpy index: a slice for a range, else the array."""
+        ix = self.index
+        return slice(ix.start, ix.stop, ix.step) if isinstance(ix, range) else ix
+
+
+@dataclass(frozen=True, slots=True)
 class SequenceWindow:
-    """N consecutive rows of one entity plus an optional window label."""
+    """N consecutive rows of one entity plus an optional window label; ``rows``
+    is a ``Rows`` view of a dataset, or a tuple of ``Record``s."""
 
     entity: str
-    rows: tuple[Record, ...]
+    rows: Sequence[Record]
     label: float | int | None = None
+
+
+def stack_rows(windows: list[SequenceWindow]) -> Sequence[Record]:
+    """The rows of ``windows`` one after another: one ``Rows`` view when every
+    window views the same dataset, else a tuple of their records."""
+    first = windows[0].rows
+    if isinstance(first, Rows) and all(isinstance(w.rows, Rows)
+                                       and w.rows.dataset is first.dataset for w in windows):
+        index = chain.from_iterable(w.rows.index for w in windows)
+        return Rows(first.dataset, np.fromiter(index, np.int64))
+    return tuple(r for w in windows for r in w.rows)
 
 
 def _parse_cell(text: str, spec: FieldSpec, row_no: int):
@@ -161,12 +330,79 @@ def _parse_cell(text: str, spec: FieldSpec, row_no: int):
     return text
 
 
+def _report_bad_row(rows, header, schema: Schema, first_row: int) -> None:
+    """Parse ``rows``, numbered from ``first_row``, cell by cell and raise the
+    ParseError of the first bad row; ``load_csv`` calls this only when a column
+    check fails."""
+    col_of = {name: header.index(name) for name in header}
+    time_i = col_of[schema.time_key]
+    for row_no, row in enumerate(rows, start=first_row):
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
+        for spec in schema.fields:
+            if _parse_cell(row[col_of[spec.name]], spec, row_no) is None and not spec.nullable:
+                raise ParseError(f"missing value in non-nullable field {spec.name!r}", row=row_no)
+        try:
+            time_index = int(float(row[time_i]))
+        except (ValueError, OverflowError):
+            raise ParseError(f"non-integer time index {row[time_i]!r}", row=row_no)
+        if not -2**63 <= time_index < 2**63:
+            raise ParseError(f"time index {row[time_i]!r} is outside the 64-bit range",
+                             row=row_no)
+
+
+def _csv_column(cells, spec: FieldSpec) -> Column:
+    """``spec``'s column of CSV text; ValueError for a cell the row parser rejects."""
+    if not spec.nullable and "" in cells:
+        raise ValueError(f"missing value in field {spec.name!r}")
+    col = _column(cells, spec.kind, "")
+    if not col.finite:
+        raise ValueError(f"non-finite value in field {spec.name!r}")
+    return col
+
+
+def _csv_block(rows, header, schema: Schema, first_row: int):
+    """One block of CSV rows as columns: one per field, the entity names as a
+    categorical column, and the time indices."""
+    try:
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError("row width")
+        cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+        t = np.fromiter(map(float, cells[schema.time_key]), np.float64, len(rows))
+        if not np.all((t >= -2.0**63) & (t < 2.0**63)):  # NaN and inf fail too
+            raise ValueError("time index outside the 64-bit range")
+        entities, entity = _factorize(cells[schema.entity_key])
+        return ([_csv_column(cells[spec.name], spec) for spec in schema.fields],
+                Column(entity, entities), t.astype(np.int64))
+    except ValueError:
+        _report_bad_row(rows, header, schema, first_row)
+        raise
+
+
+def _joined(parts: list[Column]) -> Column:
+    """One column from its parts over the blocks of a CSV."""
+    missing = None
+    if any(p.missing is not None for p in parts):
+        missing = np.concatenate([np.zeros(len(p.data), bool) if p.missing is None
+                                  else p.missing for p in parts])
+    if parts[0].categories is None:
+        return Column(np.concatenate([p.data for p in parts]), None, missing)
+    categories = tuple(sorted(set().union(*(p.categories for p in parts))))
+    where = dict(zip(categories, range(len(categories))))
+    # each part's codes renumbered; code -1, a missing cell, reads the last entry
+    codes = [np.array([*map(where.__getitem__, p.categories), -1])[p.data] for p in parts]
+    return Column(np.concatenate(codes), categories, missing)
+
+
 def load_csv(path, schema: Schema) -> Dataset:
     """Parse a header-first CSV into a Dataset sorted by (entity, time_index).
 
     Empty cells become missing values; missing cells in non-nullable fields
     are rejected. A file that cannot be read is a ``ParseError`` naming it.
+    Each block of rows is converted column by column; when a column check
+    fails, the block is parsed row by row to report the first bad row.
     """
+    blocks, rows, first_row = [], [], 2
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -181,34 +417,34 @@ def load_csv(path, schema: Schema) -> Dataset:
                 raise SchemaMismatch(
                     f"header mismatch: unknown columns {sorted(unknown)}, missing columns {sorted(absent)}"
                 )
-            col_of = {name: header.index(name) for name in declared}
-            ent_i = col_of[schema.entity_key]
-            time_i = col_of[schema.time_key]
-
-            records = []
-            for row_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
-                values = []
-                for spec in schema.fields:
-                    cell = row[col_of[spec.name]]
-                    v = _parse_cell(cell, spec, row_no)
-                    if v is None and not spec.nullable:
-                        raise ParseError(f"missing value in non-nullable field {spec.name!r}", row=row_no)
-                    values.append(v)
-                entity = row[ent_i]
-                try:
-                    time_index = int(float(row[time_i]))
-                except (ValueError, OverflowError):
-                    raise ParseError(f"non-integer time index {row[time_i]!r}", row=row_no)
-                records.append(Record(tuple(values), entity, time_index))
+            for row in reader:
+                rows.append(row)
+                if len(rows) == CSV_BLOCK_ROWS:
+                    blocks.append(_csv_block(rows, header, schema, first_row))
+                    rows, first_row = [], first_row + len(rows)
+            blocks.append(_csv_block(rows, header, schema, first_row))
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
+        if rows:  # a bad row read before the undecodable text is the first error
+            _report_bad_row(rows, header, schema, first_row)
         raise ParseError(f"CSV file is not UTF-8 text: {exc.reason}") from None
 
-    records.sort(key=lambda r: (r.entity, r.time_index))
-    return Dataset(schema, tuple(records))
+    fields, entity_parts, times = zip(*blocks)
+    columns = [_joined(parts) for parts in zip(*fields)]
+    entity_column = _joined(entity_parts)
+    entities, entity = entity_column.categories, entity_column.data
+    time_index = np.concatenate(times)
+
+    order = np.lexsort((time_index, entity))
+    entity, time_index = entity[order], time_index[order]
+    repeated = np.flatnonzero((np.diff(entity) == 0) & (np.diff(time_index) == 0))
+    if repeated.size:
+        i = repeated[0]
+        key = (entities[entity[i]], int(time_index[i]))
+        raise SchemaMismatch(f"duplicate (entity, time_index) pair {key}")
+    return Dataset.from_columns(schema, entities, entity, time_index,
+                                tuple(c.take(order) for c in columns))
 
 
 def save_csv(d: Dataset, path) -> None:
@@ -221,21 +457,22 @@ def save_csv(d: Dataset, path) -> None:
                              for v in rec.values])
 
 
+def _impute(col: Column) -> Column:
+    if col.missing is None:
+        return col
+    if col.categories is None:
+        return Column(col.data)  # a missing numerical cell holds 0.0 already
+    categories = tuple(sorted({*col.categories, MISSING_CATEGORY}))
+    where = {c: i for i, c in enumerate(categories)}
+    # code -1, a missing cell, reads the last entry
+    recode = np.array([where[c] for c in (*col.categories, MISSING_CATEGORY)], dtype=np.int64)
+    return Column(recode[col.data], categories)
+
+
 def impute_missing(d: Dataset) -> Dataset:
     """Replace missing cells: numerical -> 0.0, categorical -> MISSING_CATEGORY."""
-    out = []
-    for rec in d.records:
-        if all(v is not None for v in rec.values):
-            out.append(rec)
-            continue
-        values = tuple(
-            (0.0 if spec.kind is FieldKind.NUMERICAL else MISSING_CATEGORY)
-            if v is None
-            else v
-            for v, spec in zip(rec.values, d.schema.fields)
-        )
-        out.append(Record(values, rec.entity, rec.time_index))
-    return Dataset(d.schema, tuple(out))
+    return Dataset.from_columns(d.schema, d.entities, d.entity, d.time_index,
+                                tuple(map(_impute, d.columns)))
 
 
 def make_windows(
@@ -253,20 +490,29 @@ def make_windows(
         raise RangeError(f"unknown label rule {rule!r}")
     if rule != "none" and d.schema.label_key is None:
         raise SchemaMismatch(f"label rule {rule!r} needs a schema label_key")
-    label_i = d.schema.index_of(d.schema.label_key) if d.schema.label_key else None
 
-    windows = []
-    for entity, recs in d.by_entity().items():
-        t = len(recs)
-        for start in range(0, t - n + 1, stride):
-            rows = tuple(recs[start : start + n])
-            if rule == "any_positive":
-                label = int(any(r.values[label_i] == 1.0 for r in rows))
-            elif rule == "last_target":
-                label = float(rows[-1].values[label_i])
-            else:
-                label = None
-            windows.append(SequenceWindow(entity, rows, label))
-    if not windows:
+    first = np.flatnonzero(np.diff(d.entity, prepend=-1))  # each entity's first row
+    length = np.diff(first, append=len(d))
+    count = np.maximum((length - n) // stride + 1, 0)
+    if not count.any():
         raise EmptyResult(f"no entity has at least {n} records")
-    return windows
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    starts = np.repeat(first, count) + stride * offset
+
+    labels = [None] * len(starts)
+    if rule != "none":
+        label = d.columns[d.schema.index_of(d.schema.label_key)]
+        if label.categories is not None:
+            raise FieldKindError(f"label field {d.schema.label_key!r} is not numerical")
+        if rule == "any_positive":  # a missing cell holds 0.0, so it is not positive
+            positives = np.concatenate(([0], np.cumsum(label.data == 1.0)))
+            labels = (positives[starts + n] > positives[starts]).astype(np.int64).tolist()
+        else:
+            last = starts + n - 1
+            if label.missing is not None and label.missing[last].any():
+                raise RangeError(f"missing value in label field {d.schema.label_key!r}; "
+                                 "impute first")
+            labels = label.data[last].tolist()
+    entities = map(d.entities.__getitem__, d.entity[starts].tolist())
+    return [SequenceWindow(entity, Rows(d, range(s, s + n)), y)
+            for entity, s, y in zip(entities, starts.tolist(), labels)]

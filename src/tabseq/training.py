@@ -26,7 +26,7 @@ from .nn import Adam, cross_entropy, mse
 from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .preprocess import MASK, N_SPECIALS, PreprocessArtifact, encode_numeric, encode_tokens
-from .schema import Dataset, SequenceWindow
+from .schema import Dataset, SequenceWindow, stack_rows
 
 # task -> (window labelling rule, model head)
 TASKS = {"fraud": ("any_positive", "binary"), "regression": ("last_target", "regression")}
@@ -118,9 +118,9 @@ def train_rows(dataset: Dataset, val_fraction: float, test_fraction: float,
                seed: int) -> Dataset:
     """The rows of the train entities of ``dataset``'s entity split, an entity
     with fewer rows than a window included: what a preprocessing artifact is fitted on."""
-    train_set, _, _ = split_entity_names({r.entity for r in dataset.records},
-                                         val_fraction, test_fraction, seed)
-    return Dataset(dataset.schema, tuple(r for r in dataset.records if r.entity in train_set))
+    train_set, _, _ = split_entity_names(dataset.entities, val_fraction, test_fraction, seed)
+    train = np.array([e in train_set for e in dataset.entities], dtype=bool)
+    return dataset.take(train[dataset.entity])
 
 
 def require_partitions(splits) -> None:
@@ -139,7 +139,7 @@ def encode_inputs(windows: list[SequenceWindow], artifact: PreprocessArtifact, f
     shape = (len(windows), len(windows[0].rows), artifact.schema.n_features)
     if any(len(w.rows) != shape[1] for w in windows):
         raise ShapeError(f"windows to encode differ in length (the first has {shape[1]} rows)")
-    block = SequenceWindow("", tuple(r for w in windows for r in w.rows))
+    block = SequenceWindow("", stack_rows(windows))
     if not family.startswith("hierarchical"):
         return (encode_numeric(block, artifact.schema, artifact.numeric).values.reshape(shape),)
     grid = encode_tokens(block, artifact.schema, artifact.vocab, artifact.quantizers,

@@ -1,11 +1,16 @@
-"""Finite-difference verification of reverse-mode gradients."""
+"""Finite-difference verification of reverse-mode gradients: the reference the
+gradient gates of the test suite compare against."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NonFiniteError, RangeError
-from .tensor import Tensor
+from tabseq.errors import RangeError, TabseqError
+from tabseq.nn.tensor import Tensor
+
+
+class NonFiniteError(TabseqError):
+    """A function or gradient evaluated to NaN or infinity."""
 
 
 def grad_check(

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from gradcheck import grad_check
 from tabseq.bench import run_experiment
 from tabseq.metrics import capture_rate, f1, metric_m, weighted_gini
 from tabseq.models import ModelSpec, build_model, expected_attention_pairs
@@ -23,7 +24,6 @@ from tabseq.nn import (
     MultiHeadSelfAttention,
     TaskHead,
     Tensor,
-    grad_check,
 )
 from tabseq.nn import tensor as T
 from tabseq.preprocess import (

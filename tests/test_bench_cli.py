@@ -235,6 +235,18 @@ class TestArmConfig:
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert f"error: arm 'vanilla': model key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["heads", "hidden"])
+    def test_zero_model_size_fails_train(self, key, pipeline, tmp_path, capsys):
+        _, data_dir, _ = pipeline
+        cfg = csv_config(data_dir, 0)
+        cfg["arms"][0]["model"][key] = 0
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == \
+            "error: hidden units and attention heads must be >= 1 (arm 'vanilla')\n"
+        assert not (tmp_path / "run" / "vanilla_final.ckpt").exists()
+
     def test_tower_mask_on_non_twin_arm_fails_train(self, pipeline, tmp_path, capsys):
         _, data_dir, _ = pipeline
         cfg_path = tmp_path / "exp.json"
@@ -728,6 +740,18 @@ class TestCli:
         assert capsys.readouterr().err == \
             f"error: entity split produced an empty {empty} partition\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--hidden", "--heads"])
+    def test_pretrain_rejects_zero_size(self, flag, pipeline, tmp_path, capsys):
+        _, data_dir, artifact = pipeline
+        ckpt = tmp_path / "pre.ckpt"
+        assert main(["pretrain", "--data", str(data_dir / "data.csv"),
+                     "--schema", str(data_dir / "schema.json"), "--artifact", str(artifact),
+                     "--preset", "default_tabbert", flag, "0", "--epochs", "1",
+                     "--out", str(ckpt)]) == 1
+        assert capsys.readouterr().err == \
+            "error: hidden units and attention heads must be >= 1\n"
+        assert not ckpt.exists()
 
     def test_pretrain_rejects_non_transformer_preset(self, pipeline, tmp_path, capsys):
         _, data_dir, artifact = pipeline

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from tabseq.errors import ConfigError, ShapeError
 from tabseq.models import ModelSpec, build_model, expected_attention_pairs
-from tabseq.nn import Tensor, grad_check
+from tabseq.nn import Tensor
 from tabseq.nn import tensor as T
 from tabseq.preprocess import N_SPECIALS, FieldTokens, Vocabulary
 from tabseq.schema import FieldKind

@@ -81,7 +81,6 @@ PERFBENCH = SRC.parent / "perfbench"
 
 # Names only the tests call, kept because a gate uses them; each line says which.
 CALLER_ALLOWLIST = {
-    "grad_check",  # the gradient gates (criterion 3, test_nn_core) compare against it
     "Module.parameters",  # the gradient gates check every parameter, frozen ones too
 }
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tabseq.errors import NonFiniteError, RangeError, ShapeError
+from gradcheck import NonFiniteError, grad_check
+from tabseq.errors import RangeError, ShapeError
 from tabseq.nn import (
     Adam,
     AttentionCounter,
@@ -14,7 +15,6 @@ from tabseq.nn import (
     MultiHeadSelfAttention,
     TaskHead,
     Tensor,
-    grad_check,
     load_checkpoint,
     save_checkpoint,
 )

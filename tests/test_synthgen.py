@@ -124,7 +124,9 @@ class TestFraudGenerator:
 
 def numeric_matrix_all(d, cfg):
     cols = [d.schema.index_of(f"num_{i}") for i in range(cfg.numerical_fields)]
-    by_entity = d.by_entity()
+    by_entity = {}
+    for r in d.records:
+        by_entity.setdefault(r.entity, []).append(r)
     return [np.array([[r.values[c] for c in cols] for r in recs])
             for _, recs in sorted(by_entity.items())]
 

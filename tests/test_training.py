@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,7 +46,7 @@ def with_cell(d, row, name, value):
     """``d`` with the cell of field ``name`` in record ``row`` replaced by ``value``."""
     col = d.schema.index_of(name)
     rec = d.records[row]
-    rec = replace(rec, values=rec.values[:col] + (value,) + rec.values[col + 1:])
+    rec = rec._replace(values=rec.values[:col] + (value,) + rec.values[col + 1:])
     return Dataset(d.schema, d.records[:row] + (rec,) + d.records[row + 1:])
 
 
