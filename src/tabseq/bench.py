@@ -228,12 +228,13 @@ def run_arm(arm: ArmConfig, spec: ModelSpec, tcfg: TrainConfig, pre_cfg: TrainCo
     train_inputs, val_inputs, test_inputs = (encode_inputs(ws, artifact, spec.family)
                                              for ws in splits)
     train_y, val_y, test_y = (window_labels(ws) for ws in splits)
+    pretrain_inputs = train_inputs  # pretraining is label-free: no upsampled copies
     train_inputs, train_y = _upsample_training_data(arm, train_inputs, train_y, seed)
 
     history_paths = {}
     if pre_cfg is not None:
         model = build_model(replace(spec, head="mlm"), seed=seed, vocab=artifact.vocab)
-        ids, raw = train_inputs
+        ids, raw = pretrain_inputs
         model, pre_hist = pretrain_mlm(model, ids, raw, pre_cfg)
         ckpt = os.path.join(out_dir, f"{name}_pretrained.ckpt")
         save_model(ckpt, model, artifact, seed)

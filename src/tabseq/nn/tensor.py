@@ -12,12 +12,46 @@ the gradient checks need.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 from ..errors import RangeError, ShapeError
+
+
+def _load_erf():
+    """scipy's ``erf`` ufunc, loaded without running ``scipy.special``'s
+    ``__init__``. That package import copies numpy's namespace (``numpy.f2py``,
+    ``numpy.testing`` and more) and loads a second OpenBLAS, all for one
+    ufunc. So the extension module that defines ``erf`` is loaded alone,
+    under its package name: a later ``import scipy.special`` finds it in
+    ``sys.modules``, and both bind the same ufunc. Builds without that
+    extension take the package import."""
+    name = "scipy.special._special_ufuncs"
+    module = sys.modules.get(name)
+    scipy_spec = importlib.util.find_spec("scipy")  # finds scipy, does not import it
+    if module is None and scipy_spec is not None:
+        paths = (os.path.join(directory, "special", "_special_ufuncs" + suffix)
+                 for directory in scipy_spec.submodule_search_locations or ()
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is not None:
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader))
+            loader.exec_module(module)
+            sys.modules[name] = module
+    erf = getattr(module, "erf", None)
+    if erf is None:
+        from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 
 _GRAD_ENABLED = True
 

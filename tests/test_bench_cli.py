@@ -295,6 +295,26 @@ class TestArmConfig:
         assert len(up_y) == 32 and up_y[20:].all()
         assert np.array_equal(up_raw, up_ids * 0.5) and np.array_equal(up_ids[:20], ids)
 
+    def test_pretraining_sees_no_upsampled_windows(self, tmp_path):
+        # masked-cell pretraining is label-free, so duplicating the positive
+        # windows changes fine-tuning only
+        out = {}
+        for upsample in ("none", "duplicate"):
+            cfg = base_config()
+            cfg["arms"] = [cfg["arms"][2]]
+            cfg["arms"][0]["upsample"] = upsample
+            arm = run_experiment(cfg, tmp_path / upsample)["deterministic"]["arms"]["hier"]
+            losses = {}
+            for stage, path in arm["history"].items():
+                with open(path, newline="") as fh:
+                    losses[stage] = [row["train_loss"] for row in csv.DictReader(fh)]
+            ckpt = (tmp_path / upsample / "hier_pretrained.ckpt").read_bytes()
+            out[upsample] = losses, ckpt
+        assert out["duplicate"][0]["pretrain"] == out["none"][0]["pretrain"]
+        assert out["duplicate"][1] == out["none"][1]
+        # the arms did differ: fine-tuning saw the duplicated windows
+        assert out["duplicate"][0]["train"] != out["none"][0]["train"]
+
     @pytest.mark.parametrize("fraction", ["val_fraction", "test_fraction"])
     def test_empty_partition_rejected(self, fraction, tmp_path):
         cfg = base_config(**{fraction: 0.0})
