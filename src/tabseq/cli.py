@@ -69,14 +69,25 @@ def _dataset(args, artifact: PreprocessArtifact) -> Dataset:
     return impute_missing(load_csv(args.data, artifact.schema))
 
 
+def _entity_splits(args, artifact: PreprocessArtifact, label_rule: str):
+    """The (train, val, test) windows of ``--data``, split by entity as
+    ``tabseq preprocess`` and ``tabseq train`` split it."""
+    dataset = _dataset(args, artifact)
+    windows = make_windows(dataset, args.window, args.stride, label_rule)
+    return split_entities(windows, args.val_fraction, args.test_fraction, args.seed,
+                          dataset.entities)
+
+
 def cmd_pretrain(args) -> int:
     preset = load_transformer_preset(args.preset)
     artifact = PreprocessArtifact.load(args.artifact)
     sizes = {k: v for k, v in (("hidden", args.hidden), ("heads", args.heads)) if v is not None}
     spec = preset_model_spec(preset, n=args.window, m=artifact.schema.n_features,
                              head="mlm", **sizes)
-    windows = make_windows(_dataset(args, artifact), args.window, args.stride, "none")
-    ids, raw = encode_inputs(windows, artifact, spec.family)
+    # label-free, and on the train entities only: no validation or test row is seen
+    train_w, _, _ = splits = _entity_splits(args, artifact, "none")
+    require_partitions(splits[:1])
+    ids, raw = encode_inputs(train_w, artifact, spec.family)
     cfg = preset_train_config(preset, seed=args.seed, epochs=args.epochs, patience=None)
     model = build_model(spec, seed=args.seed, vocab=artifact.vocab)
     model, history = pretrain_mlm(model, ids, raw, cfg)
@@ -112,10 +123,7 @@ def cmd_finetune(args) -> int:
     artifact = PreprocessArtifact.load(args.artifact)
     model = restore_model(args.checkpoint, artifact, head=TASKS[args.task][1], seed=args.seed)
     family = model.spec.family
-    dataset = _dataset(args, artifact)
-    windows = make_windows(dataset, args.window, args.stride, TASKS[args.task][0])
-    train_w, val_w, _ = splits = split_entities(windows, args.val_fraction, args.test_fraction,
-                                                args.seed, dataset.entities)
+    train_w, val_w, _ = splits = _entity_splits(args, artifact, TASKS[args.task][0])
     require_partitions(splits[:2])  # the test partition goes unused here
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed)
@@ -234,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("pretrain", help="masked-cell pretraining")
-    _add_data_args(p, "--artifact", "--seed", "--window", "--stride")
+    _add_data_args(p, "--artifact", "--seed", "--val-fraction", "--test-fraction", "--window",
+                   "--stride")
     p.add_argument("--preset", required=True)
     p.add_argument("--epochs", type=int, default=bench.PretrainConfig.epochs)
     p.add_argument("--hidden", type=int, default=None)

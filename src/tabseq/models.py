@@ -253,19 +253,27 @@ class HierarchicalModel(Module):
         field encoder run once per distinct row of the batch: a row's pooled
         embedding depends on that row alone, and with overlapping windows a row
         appears in up to N of them. The joint family keys rows on their ids
-        and the bits of their raw values."""
+        and the bits of their raw values. The distinct rows come from one
+        ``lexsort`` of the key's columns: sorted neighbours that differ start a
+        new row."""
         self._check_grid(ids)
         b, n, m = ids.shape
         flat_ids = ids.reshape(b * n, m)
         flat_raw = None if raw is None or not self.joint else raw.reshape(b * n, m)
         key = flat_ids if flat_raw is None else \
             np.concatenate([flat_ids, flat_raw.view(np.int64)], axis=1)
-        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        order = np.lexsort(key.T)
+        ranked = key[order]
+        starts = np.ones(len(key), dtype=bool)
+        np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+        first = order[starts]
+        inverse = np.empty(len(key), dtype=np.intp)
+        inverse[order] = np.cumsum(starts) - 1
         with T.no_grad():
             cells = self._field_states(flat_ids[first],
                                        None if flat_raw is None else flat_raw[first],
                                        np.zeros((len(first), m), dtype=bool), 0.0, None)
-            pooled = T.tmean(cells, axis=1).data[inverse.reshape(-1)]
+            pooled = T.tmean(cells, axis=1).data[inverse]
             rows = Tensor(pooled.reshape(b, n, self.spec.hidden)) + self.row_pos
             rows = self.seq_encoder(rows, self.counter, 0.0, None)
             return self.task_head(T.tmean(rows, axis=1)).data

@@ -240,7 +240,9 @@ def linear(x, w, b) -> Tensor:
         gx = np.matmul(g, w.data.T) if x.requires_grad else None
         return gx, _weight_grad(x.data.reshape(-1, n_in), rows), rows.sum(axis=0)
 
-    return Tensor(np.matmul(x.data, w.data) + b.data, _parents=(x, w, b), _backward_fn=backward)
+    out = np.matmul(x.data, w.data)
+    out += b.data
+    return Tensor(out, _parents=(x, w, b), _backward_fn=backward)
 
 
 def layer_norm(x, gain, bias, eps: float) -> Tensor:
@@ -280,7 +282,9 @@ def attention(q, k, v, heads: int) -> Tensor:
         return t.transpose(0, 2, 1, 3).reshape(batch, s, h)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    attn = _softmax(np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale, -1)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    scores *= scale
+    attn = _softmax(scores, -1)
 
     def backward(g):
         gctx = split(g)
@@ -310,7 +314,10 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def gelu(a) -> Tensor:
     """Exact (erf-based) GELU; smooth everywhere, so finite differences behave."""
     a = as_tensor(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
+    cdf = a.data * _INV_SQRT2  # 0.5 * (1 + erf(a / √2)), built in this one buffer
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def backward(g):  # the pdf is only needed here, so inference never computes it
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
@@ -352,8 +359,10 @@ def reshape(a, shape) -> Tensor:
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _softmax_grad(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:

@@ -178,15 +178,27 @@ def _supervised_loss(model, out, y):
     return mse(T.reshape(out, y.shape), T.Tensor(y))
 
 
-def _logits(model, inputs, batch_size: int = 512) -> list[np.ndarray]:
-    """Model outputs per batch of ``batch_size`` windows, computed without a tape;
-    a hierarchical model encodes each distinct row of a batch once."""
+# Windows per tape-free forward. The largest temporary of a block, [256, 10, 64]
+# float64 = 1.25 MiB, fits a 2 MiB per-core L2 cache; at 512 windows the
+# temporaries outgrow it, and glibc maps them fresh and page-faults them on every
+# block unless an earlier free happened to raise its mmap threshold. Keep it a
+# multiple of 64, so that BLAS tiles each window's rows the same way at any size.
+_SCORE_BLOCK = 256
+
+
+def _logits(model, inputs) -> np.ndarray:
+    """Model outputs for every window, computed without a tape in blocks of
+    ``_SCORE_BLOCK`` windows; a hierarchical model encodes each distinct row of
+    a block once. A lone last window joins the block before it: numpy
+    multiplies a one-row matrix through BLAS's matrix-vector kernel, which
+    rounds differently from the matrix product a block takes."""
     n = len(inputs[0])
+    edges = [*(range(0, n - 1, _SCORE_BLOCK) or [0]), n]
     forward = model.infer if isinstance(model, HierarchicalModel) else \
         (lambda *x: model(*x).data)
-    with T.no_grad():  # a list, not a generator, so the tape is back on for the caller
-        return [forward(*index_inputs(inputs, np.arange(start, min(start + batch_size, n))))
-                for start in range(0, n, batch_size)]
+    with T.no_grad():
+        return np.concatenate([forward(*index_inputs(inputs, slice(start, stop)))
+                               for start, stop in zip(edges, edges[1:])])
 
 
 def _scores(model, logits: np.ndarray) -> np.ndarray:
@@ -199,22 +211,19 @@ def _scores(model, logits: np.ndarray) -> np.ndarray:
 
 def predict_scores(model, inputs) -> np.ndarray:
     """Positive-class probability (binary head) or raw prediction (regressor)."""
-    batches = _logits(model, inputs)
-    return np.concatenate([_scores(model, logits) for logits in batches])
+    return _scores(model, _logits(model, inputs))
 
 
 def validate(model, inputs, y) -> tuple[float, float]:
     """Validation loss and metric from one forward pass over the windows.
 
-    The loss is the window-weighted mean of the per-batch losses; the metric
-    is F1 at 0.5 for a binary head and -RMSE for a regressor, so that higher
-    is better for both.
+    The loss is the supervised loss over all windows at once; the metric is F1
+    at 0.5 for a binary head and -RMSE for a regressor, so that higher is
+    better for both.
     """
-    batches = _logits(model, inputs)
-    labels = np.split(y, np.cumsum([len(logits) for logits in batches])[:-1])
-    val_loss = sum(_supervised_loss(model, T.Tensor(logits), yb).item() * len(yb)
-                   for logits, yb in zip(batches, labels)) / len(y)
-    scores = np.concatenate([_scores(model, logits) for logits in batches])
+    logits = _logits(model, inputs)
+    val_loss = _supervised_loss(model, T.Tensor(logits), y).item()
+    scores = _scores(model, logits)
     if model.spec.head == "binary":
         return val_loss, f1(scores >= 0.5, y)[2]
     return val_loss, -rmse(scores, y)

@@ -677,6 +677,23 @@ class TestCli:
         assert main(["finetune", *data, "--checkpoint", str(ckpt), "--epochs", "1",
                      "--out", str(tmp_path / "tuned.ckpt")]) == 0
 
+    def test_pretrain_reads_only_the_train_split(self, pipeline, tmp_path, capsys):
+        # pretraining is label-free, but it must not see the validation or test
+        # entities that `tabseq finetune` holds out at the same split flags
+        _, data_dir, artifact = pipeline
+        data = impute_missing(load_csv(data_dir / "data.csv",
+                                       Schema.load(data_dir / "schema.json")))
+        windows = make_windows(data, 10, 5, "none")
+        train_w, _, _ = split_entities(windows, 0.2, 0.1, 3, data.entities)
+        assert 0 < len(train_w) < len(windows)
+        assert main(["pretrain", "--data", str(data_dir / "data.csv"),
+                     "--schema", str(data_dir / "schema.json"), "--artifact", str(artifact),
+                     "--seed", "3", "--val-fraction", "0.2", "--test-fraction", "0.1",
+                     "--window", "10", "--stride", "5", "--preset", "default_tabbert",
+                     "--hidden", "8", "--heads", "2", "--epochs", "1",
+                     "--out", str(tmp_path / "pre.ckpt")]) == 0
+        assert f"pretrained hierarchical on {len(train_w)} windows;" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command, flag", [
         ("generate", "--config"), ("preprocess", "--schema"), ("pretrain", "--artifact"),
         ("pretrain", "--schema"), ("train", "--config"), ("finetune", "--artifact"),
@@ -811,8 +828,7 @@ class TestCli:
         assert proc.returncode == 0
 
     @pytest.mark.parametrize("command, flag, value", [
-        ("pretrain", "--task", "fraud"), ("pretrain", "--val-fraction", "0.2"),
-        ("pretrain", "--test-fraction", "0.2"), ("evaluate", "--seed", "1"),
+        ("pretrain", "--task", "fraud"), ("evaluate", "--seed", "1"),
         ("evaluate", "--val-fraction", "0.2"), ("evaluate", "--test-fraction", "0.2"),
     ])
     def test_unread_flag_is_a_usage_error(self, command, flag, value, tmp_path, capsys):

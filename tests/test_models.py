@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import grad_check
 from tabseq.errors import ConfigError, ShapeError
@@ -414,6 +416,58 @@ class TestInfer:
         got = model.infer(ids, raw)
         assert np.array_equal(got, expected)
         assert np.array_equal(got[0], got[1]) == (family == "hierarchical")
+        assert model.counter.count == expected_attention_pairs(spec, 2, rows=distinct)
+
+
+@st.composite
+def repeated_row_grids(draw, vocab, n):
+    """An (ids, raw) window grid [b, n, M] drawn from a few pooled rows, so
+    that rows repeat within and across windows; raw values include 0.0 and
+    -0.0, and pooled rows may share their ids and differ in raw values only."""
+    pool_ids = draw(st.lists(st.tuples(*(st.integers(ft.start, ft.start + ft.size - 1)
+                                         for ft in vocab.fields)), min_size=1, max_size=3))
+    values = st.sampled_from([0.0, -0.0, 1.5, -2.25])
+    pool = draw(st.lists(st.tuples(st.sampled_from(pool_ids),
+                                   st.tuples(*(values for _ in vocab.fields))),
+                         min_size=1, max_size=6))
+    b = draw(st.integers(1, 5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=b * n, max_size=b * n))
+    ids = np.array([pool[i][0] for i in picks], dtype=np.int64).reshape(b, n, -1)
+    raw = np.array([pool[i][1] for i in picks], dtype=np.float64).reshape(b, n, -1)
+    return ids, raw
+
+
+class TestInferRowKey:
+    @pytest.mark.parametrize("family", ["hierarchical", "hierarchical_joint"])
+    @given(grid=repeated_row_grids(small_vocab(), 4))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_forward_and_counts_distinct_rows(self, family, grid):
+        ids, raw = grid
+        spec = ModelSpec(family, 4, 3, hidden=8, heads=2, layers=1)
+        model = build_model(spec, seed=6, vocab=small_vocab())
+        with T.no_grad():
+            expected = model(ids, raw=raw).data
+        model.counter.reset()
+        assert np.array_equal(model.infer(ids, raw), expected)
+        # the oracle key: a row's ids, and for the joint family the bits of its raw values
+        key = ids.reshape(-1, 3)
+        if family == "hierarchical_joint":
+            key = np.concatenate([key, raw.reshape(-1, 3).view(np.int64)], axis=1)
+        distinct = len(np.unique(key, axis=0))
+        assert model.counter.count == expected_attention_pairs(spec, len(ids), rows=distinct)
+
+    @pytest.mark.parametrize("family, distinct", [("hierarchical", 1),
+                                                  ("hierarchical_joint", 2)])
+    def test_signed_zeros_are_distinct_joint_rows(self, family, distinct):
+        spec = ModelSpec(family, 4, 3, hidden=8, heads=2, layers=1)
+        model = build_model(spec, seed=6, vocab=small_vocab())
+        ids = np.tile(random_ids(small_vocab(), 1, 1, np.random.default_rng(10)), (2, 4, 1))
+        raw = np.zeros(ids.shape)
+        raw[1] = -0.0
+        with T.no_grad():
+            expected = model(ids, raw=raw).data
+        model.counter.reset()
+        assert np.array_equal(model.infer(ids, raw), expected)
         assert model.counter.count == expected_attention_pairs(spec, 2, rows=distinct)
 
 

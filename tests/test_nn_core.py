@@ -232,6 +232,40 @@ class TestFusedKernels:
         expect = composed_layer_norm(mha.norm, x + composed_linear(mha.wo, merged))
         assert np.array_equal(mha(x).data, expect.data)
 
+    def test_gelu_forward_matches_composed(self):
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((3, 5, 7)) * 3
+        expect = x * (0.5 * (1.0 + T.erf(x * T._INV_SQRT2)))
+        assert np.array_equal(T.gelu(Tensor(x)).data, expect)
+
+    def test_softmax_matches_composed(self):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((2, 3, 4, 4)) * 10
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        assert np.array_equal(T._softmax(x, -1), e / e.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["taped", "no_grad"])
+    @pytest.mark.parametrize("op", ["gelu", "linear", "attention", "softmax"])
+    def test_forward_leaves_inputs_unchanged(self, op, grad):
+        rng = np.random.default_rng(42)
+        arrays = {"gelu": [rng.standard_normal((3, 4, 6))],
+                  "linear": [rng.standard_normal(s) for s in ((3, 4, 6), (6, 5), (5,))],
+                  "attention": [rng.standard_normal((2, 4, 6)) for _ in range(3)],
+                  "softmax": [rng.standard_normal((2, 3, 5))]}[op]
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        run = {"gelu": lambda: T.gelu(*tensors),
+               "linear": lambda: T.linear(*tensors),
+               "attention": lambda: T.attention(*tensors, heads=2),
+               "softmax": lambda: T._softmax(arrays[0], -1)}[op]
+        copies = [a.copy() for a in arrays]
+        if grad:
+            run()
+        else:
+            with T.no_grad():
+                run()
+        assert all(np.array_equal(t.data, c) for t, c in zip(tensors, copies))
+        assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
+
     def test_embedding_backward_equals_add_at(self):
         rng = np.random.default_rng(38)
         table = Tensor(rng.standard_normal((6, 3)), requires_grad=True)

@@ -11,10 +11,12 @@ from tabseq.nn import cross_entropy, load_checkpoint, mse, save_checkpoint
 from tabseq.nn import tensor as T
 from tabseq.preprocess import MASK, N_SPECIALS, UNK, encode_numeric, encode_tokens, fit_preprocess
 from tabseq.schema import Dataset, impute_missing, make_windows
+from tabseq import training
 from tabseq.training import (
     PRESET_NAMES,
     TrainConfig,
     TrainHistory,
+    _supervised_loss,
     encode_inputs,
     fine_tune,
     index_inputs,
@@ -344,18 +346,13 @@ class TestTrainSupervised:
 class TestSinglePassValidation:
     @staticmethod
     def two_pass_reference(model, inputs, y):
-        """Loss from taped forwards over 512-window batches, metric from a
-        second pass through predict_scores."""
-        losses = []
-        for start in range(0, len(y), 512):
-            idx = np.arange(start, min(start + 512, len(y)))
-            out = model(inputs[0][idx])
-            if model.spec.head == "binary":
-                loss = cross_entropy(out, y[idx].astype(np.int64))
-            else:
-                loss = mse(T.reshape(out, y[idx].shape), T.Tensor(y[idx]))
-            losses.append((loss.item(), len(idx)))
-        val_loss = sum(l * n for l, n in losses) / len(y)
+        """Loss from one taped forward over every window, metric from a second
+        pass through predict_scores."""
+        out = model(inputs[0])
+        if model.spec.head == "binary":
+            val_loss = cross_entropy(out, y.astype(np.int64)).item()
+        else:
+            val_loss = mse(T.reshape(out, y.shape), T.Tensor(y)).item()
         scores = predict_scores(model, inputs)
         if model.spec.head == "binary":
             return val_loss, f1(scores >= 0.5, y)[2]
@@ -364,7 +361,7 @@ class TestSinglePassValidation:
     @pytest.mark.parametrize("head", ["binary", "regression"])
     def test_history_equals_two_pass_reference(self, head):
         inputs, y = separable_data(100, seed=4)
-        val_inputs, val_y = separable_data(700, seed=5)  # two batches of validation
+        val_inputs, val_y = separable_data(700, seed=5)  # three scoring blocks of validation
         if head == "regression":
             y, val_y = inputs[0][:, :, 0].mean(axis=1), val_inputs[0][:, :, 0].mean(axis=1)
         model = build_model(ModelSpec("vanilla", 2, 2, hidden=8, heads=2, layers=1,
@@ -375,21 +372,26 @@ class TestSinglePassValidation:
         assert hist.val_loss == [val_loss] and hist.val_metric == [val_metric]
 
 
+def stride_one_inputs(fraud_dataset, family):
+    """``family``'s inputs and labels for the windows of 5 rows at stride 1,
+    with a model to score them: every inner row sits in 5 windows."""
+    d = impute_missing(fraud_dataset)
+    art = fit_preprocess(d, bins=6)
+    windows = make_windows(d, 5, 1)
+    spec = ModelSpec(family, 5, d.schema.n_features, hidden=8, heads=2, layers=1,
+                     dropout=0.2)
+    model = build_model(spec, seed=3, vocab=art.vocab)
+    return model, encode_inputs(windows, art, family), window_labels(windows)
+
+
 class TestHierarchicalScoring:
     """``predict_scores`` and ``validate`` encode each distinct row of a
-    hierarchical batch once; both must equal per-window forwards of the same
-    512-window batches."""
+    hierarchical block once; both must equal per-window forwards."""
 
     @pytest.mark.parametrize("family", ["hierarchical", "hierarchical_joint"])
     def test_equal_per_window_forward(self, fraud_dataset, family):
-        d = impute_missing(fraud_dataset)
-        art = fit_preprocess(d, bins=6)
-        windows = make_windows(d, 5, 1)  # every inner row sits in 5 windows
-        assert len(windows) > 512 and windows[511].entity == windows[512].entity
-        inputs, y = encode_inputs(windows, art, family), window_labels(windows)
-        spec = ModelSpec(family, 5, d.schema.n_features, hidden=8, heads=2, layers=1,
-                         dropout=0.2)
-        model = build_model(spec, seed=3, vocab=art.vocab)
+        model, inputs, y = stride_one_inputs(fraud_dataset, family)
+        assert len(y) > 512
         starts = range(0, len(y), 512)
         with T.no_grad():
             batches = [model(*index_inputs(inputs, np.arange(s, min(s + 512, len(y))))).data
@@ -398,9 +400,41 @@ class TestHierarchicalScoring:
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         scores = e[:, 1] / e.sum(axis=1)
         assert np.array_equal(predict_scores(model, inputs), scores)
-        val_loss = sum(cross_entropy(T.Tensor(b), y[s:s + 512].astype(np.int64)).item()
-                       * len(b) for s, b in zip(starts, batches)) / len(y)
+        val_loss = cross_entropy(T.Tensor(logits), y.astype(np.int64)).item()
         assert validate(model, inputs, y) == (val_loss, f1(scores >= 0.5, y)[2])
+
+
+class TestScoringBlocks:
+    """Scoring runs in blocks of windows. At block sizes that keep BLAS on the
+    same kernels, multiples of 64 here, no output depends on the block size."""
+
+    BLOCKS = (64, 128, 512, 1 << 20)
+
+    @staticmethod
+    def lone_tail_inputs(fraud_dataset, family):
+        # 1537 = 6 * 256 + 1 windows: every block size tried leaves one window over
+        model, inputs, y = stride_one_inputs(fraud_dataset, family)
+        return model, index_inputs(inputs, slice(0, 1537)), y[:1537]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_scores_bit_equal_at_every_block_size(self, fraud_dataset, family, monkeypatch):
+        model, inputs, _ = self.lone_tail_inputs(fraud_dataset, family)
+        expected = predict_scores(model, inputs)
+        for block in self.BLOCKS:
+            monkeypatch.setattr(training, "_SCORE_BLOCK", block)
+            assert np.array_equal(predict_scores(model, inputs), expected), block
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_validation_loss_is_one_loss_over_every_window(self, fraud_dataset, family,
+                                                           monkeypatch):
+        model, inputs, y = self.lone_tail_inputs(fraud_dataset, family)
+        with T.no_grad():
+            out = model(*inputs)
+        expected = _supervised_loss(model, out, y).item()
+        assert validate(model, inputs, y)[0] == expected
+        for block in self.BLOCKS:
+            monkeypatch.setattr(training, "_SCORE_BLOCK", block)
+            assert validate(model, inputs, y)[0] == expected, block
 
 
 class TestPretrainFineTune:
