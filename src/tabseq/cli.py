@@ -63,16 +63,21 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _dataset(args, artifact: PreprocessArtifact) -> Dataset:
+def _dataset(args, artifact: PreprocessArtifact, model=None) -> Dataset:
+    """The imputed ``--data``, read once ``--schema`` is known to be the
+    artifact's and ``--window`` the window length of ``model``, if given."""
     if Schema.load(args.schema) != artifact.schema:
         raise SchemaMismatch(f"{args.schema} is not the schema of {args.artifact}")
+    if model is not None and args.window != model.spec.n:
+        raise ConfigError(f"--window {args.window} does not match the checkpoint's "
+                          f"window of {model.spec.n} rows")
     return impute_missing(load_csv(args.data, artifact.schema))
 
 
-def _entity_splits(args, artifact: PreprocessArtifact, label_rule: str):
+def _entity_splits(args, artifact: PreprocessArtifact, label_rule: str, model=None):
     """The (train, val, test) windows of ``--data``, split by entity as
     ``tabseq preprocess`` and ``tabseq train`` split it."""
-    dataset = _dataset(args, artifact)
+    dataset = _dataset(args, artifact, model)
     windows = make_windows(dataset, args.window, args.stride, label_rule)
     return split_entities(windows, args.val_fraction, args.test_fraction, args.seed,
                           dataset.entities)
@@ -123,7 +128,7 @@ def cmd_finetune(args) -> int:
     artifact = PreprocessArtifact.load(args.artifact)
     model = restore_model(args.checkpoint, artifact, head=TASKS[args.task][1], seed=args.seed)
     family = model.spec.family
-    train_w, val_w, _ = splits = _entity_splits(args, artifact, TASKS[args.task][0])
+    train_w, val_w, _ = splits = _entity_splits(args, artifact, TASKS[args.task][0], model)
     require_partitions(splits[:2])  # the test partition goes unused here
     cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                       epochs=args.epochs, seed=args.seed)
@@ -144,7 +149,7 @@ def cmd_evaluate(args) -> int:
     if model.spec.head != head:
         raise ConfigError(f"checkpoint has a {model.spec.head!r} head; "
                           f"--task {args.task} needs {head!r}")
-    windows = make_windows(_dataset(args, artifact), args.window, args.stride,
+    windows = make_windows(_dataset(args, artifact, model), args.window, args.stride,
                            TASKS[args.task][0])
     scores = predict_scores(model, encode_inputs(windows, artifact, model.spec.family))
     result = evaluate_scores(scores, window_labels(windows), head)

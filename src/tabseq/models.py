@@ -97,25 +97,6 @@ def _head_width(head: str) -> int:
     return 2 if head == "binary" else 1
 
 
-class VanillaModel(Module):
-    def __init__(self, spec: ModelSpec, seed: int):
-        rng = np.random.default_rng(seed)
-        self.spec = spec
-        self.counter = AttentionCounter()
-        self.proj = L.Linear(spec.m, spec.hidden, rng)
-        self.pos = Tensor(rng.standard_normal((spec.n, spec.hidden)) * 0.02, requires_grad=True)
-        self.encoder = L.Encoder(spec.hidden, spec.heads, spec.layers, rng)
-        self.head = L.TaskHead(spec.hidden, _head_width(spec.head), rng)
-
-    def __call__(self, x: np.ndarray, train: bool = False, rng=None) -> Tensor:
-        if x.ndim != 3 or x.shape[1:] != (self.spec.n, self.spec.m):
-            raise ShapeError(f"expected [batch, {self.spec.n}, {self.spec.m}], got {x.shape}")
-        p = self.spec.dropout if train else 0.0
-        h = self.proj(Tensor(x)) + self.pos
-        h = self.encoder(h, self.counter, p, rng)
-        return self.head(T.tmean(h, axis=1))
-
-
 class _Tower(Module):
     """One encoder over a chosen sequence axis with its own projection."""
 
@@ -129,6 +110,23 @@ class _Tower(Module):
         h = self.proj(x) + self.pos
         h = self.encoder(h, counter, dropout, rng)
         return T.tmean(h, axis=1)  # pooled tower output
+
+
+class VanillaModel(_Tower):
+    """A time tower over the N rows of a window, then a task head."""
+
+    def __init__(self, spec: ModelSpec, seed: int):
+        rng = np.random.default_rng(seed)
+        self.spec = spec
+        self.counter = AttentionCounter()
+        super().__init__(spec.n, spec.m, spec.hidden, spec.heads, spec.layers, rng)
+        self.head = L.TaskHead(spec.hidden, _head_width(spec.head), rng)
+
+    def __call__(self, x: np.ndarray, train: bool = False, rng=None) -> Tensor:
+        if x.ndim != 3 or x.shape[1:] != (self.spec.n, self.spec.m):
+            raise ShapeError(f"expected [batch, {self.spec.n}, {self.spec.m}], got {x.shape}")
+        p = self.spec.dropout if train else 0.0
+        return self.head(super().__call__(Tensor(x), self.counter, p, rng))
 
 
 class TwinTowerModel(Module):

@@ -150,15 +150,7 @@ class Tensor:
         return mul(self, -1.0)
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
         return mul(self, 1.0 / other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
 
 def as_tensor(x) -> Tensor:
@@ -295,16 +287,6 @@ def attention(q, k, v, heads: int) -> Tensor:
                 merge(np.matmul(attn.transpose(0, 1, 3, 2), gctx)))
 
     return Tensor(merge(np.matmul(attn, vh)), _parents=(q, k, v), _backward_fn=backward)
-
-
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    out = a.data**exponent
-    return Tensor(
-        out,
-        _parents=(a,),
-        _backward_fn=lambda g: (g * exponent * a.data ** (exponent - 1.0),),
-    )
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

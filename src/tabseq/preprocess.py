@@ -22,8 +22,7 @@ import numpy as np
 
 from .config import read_json, write_json
 from .errors import FieldKindError, RangeError, ShapeError
-from .schema import (MISSING_CATEGORY, Column, Dataset, FieldKind, Rows, Schema, SequenceWindow,
-                     columns_of)
+from .schema import MISSING_CATEGORY, Column, Dataset, FieldKind, Schema, SequenceWindow
 
 PAD, MASK, UNK, CLS = 0, 1, 2, 3
 N_SPECIALS = 4
@@ -194,13 +193,10 @@ class FeatureMatrix:
 def _feature_cells(w: SequenceWindow, schema: Schema) -> list[tuple[Column, np.ndarray]]:
     """Each feature field's column and its cells at the window's rows; rejects a
     missing cell."""
-    if isinstance(w.rows, Rows):
-        columns, at = w.rows.dataset.columns, w.rows.positions
-    else:  # a window of hand-built records
-        columns, at = columns_of(schema, [r.values for r in w.rows]), slice(None)
+    at = w.positions
     cells = []
     for spec, c in zip(schema.feature_fields, schema.feature_columns):
-        col = columns[c]
+        col = w.dataset.columns[c]
         if col.missing is not None and col.missing[at].any():
             raise RangeError(f"missing value in field {spec.name!r}; impute first")
         cells.append((col, col.data[at]))

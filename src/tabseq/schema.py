@@ -9,21 +9,19 @@ A ``Dataset`` holds its rows column by column, sorted by (entity, time index):
   distinct strings for a categorical one, each with a mask of its missing
   cells.
 
-``Dataset.records`` and a window's ``rows`` read the columns back as
-``Record``s of plain Python values: ``str`` for categorical cells, ``float``
-for numerical cells, and ``None`` for missing cells. A ``SequenceWindow``
-made by ``make_windows`` refers to its rows by position in its dataset.
+``Dataset.records`` reads the columns back as ``Record``s of plain Python
+values: ``str`` for categorical cells, ``float`` for numerical cells, and
+``None`` for missing cells; ``Record``s are also how hand-built rows enter a
+``Dataset``. A ``SequenceWindow`` refers to its rows by position in its dataset.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -185,12 +183,6 @@ def _column(cells, kind: FieldKind, empty) -> Column:
     return Column(np.fromiter(map(float, cells), np.float64, len(cells)), None, missing)
 
 
-def columns_of(schema: Schema, values) -> tuple[Column, ...]:
-    """The columns of rows of Python values, in schema field order, unchecked."""
-    cells = list(zip(*values)) or [()] * len(schema.fields)
-    return tuple(_column(c, spec.kind, None) for c, spec in zip(cells, schema.fields))
-
-
 class Dataset:
     """Rows of one schema, stored column-wise and sorted by unique (entity,
     time index) keys; the module docstring describes the columns."""
@@ -204,7 +196,9 @@ class Dataset:
             raise SchemaMismatch("record time indices must be 64-bit integers")
         if set(map(len, values)) - {len(schema.fields)} or not _keys_increase(entity, time_index):
             _check_records(schema, records)
-        self._assign(schema, entities, entity, time_index, columns_of(schema, values))
+        cells = list(zip(*values)) or [()] * len(schema.fields)
+        self._assign(schema, entities, entity, time_index,
+                     tuple(_column(c, spec.kind, None) for c, spec in zip(cells, schema.fields)))
 
     @classmethod
     def from_columns(cls, schema: Schema, entities: tuple[str, ...], entity: np.ndarray,
@@ -266,54 +260,21 @@ def _check_records(schema: Schema, records) -> None:
         prev = key
 
 
-class Rows(Sequence):
-    """The rows of ``dataset`` at ``index``, a ``range`` or an int64 array of
-    positions, read as Records."""
+@dataclass(frozen=True, slots=True)
+class SequenceWindow:
+    """N consecutive rows of one entity of ``dataset`` plus an optional window
+    label; ``rows`` holds their positions, a ``range`` or an int64 array."""
 
-    __slots__ = ("dataset", "index")
-
-    def __init__(self, dataset: Dataset, index):
-        self.dataset = dataset
-        self.index = index
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Rows(self.dataset, self.index[i])
-        return self.dataset.records[self.index[i]]
-
-    def __iter__(self):
-        records = self.dataset.records
-        return (records[i] for i in self.index)
+    entity: str
+    dataset: Dataset
+    rows: range | np.ndarray
+    label: float | int | None = None
 
     @property
     def positions(self):
         """The rows as a numpy index: a slice for a range, else the array."""
-        ix = self.index
-        return slice(ix.start, ix.stop, ix.step) if isinstance(ix, range) else ix
-
-
-@dataclass(frozen=True, slots=True)
-class SequenceWindow:
-    """N consecutive rows of one entity plus an optional window label; ``rows``
-    is a ``Rows`` view of a dataset, or a tuple of ``Record``s."""
-
-    entity: str
-    rows: Sequence[Record]
-    label: float | int | None = None
-
-
-def stack_rows(windows: list[SequenceWindow]) -> Sequence[Record]:
-    """The rows of ``windows`` one after another: one ``Rows`` view when every
-    window views the same dataset, else a tuple of their records."""
-    first = windows[0].rows
-    if isinstance(first, Rows) and all(isinstance(w.rows, Rows)
-                                       and w.rows.dataset is first.dataset for w in windows):
-        index = chain.from_iterable(w.rows.index for w in windows)
-        return Rows(first.dataset, np.fromiter(index, np.int64))
-    return tuple(r for w in windows for r in w.rows)
+        r = self.rows
+        return slice(r.start, r.stop, r.step) if isinstance(r, range) else r
 
 
 def _parse_cell(text: str, spec: FieldSpec, row_no: int):
@@ -514,5 +475,5 @@ def make_windows(
                                  "impute first")
             labels = label.data[last].tolist()
     entities = map(d.entities.__getitem__, d.entity[starts].tolist())
-    return [SequenceWindow(entity, Rows(d, range(s, s + n)), y)
+    return [SequenceWindow(entity, d, range(s, s + n), y)
             for entity, s, y in zip(entities, starts.tolist(), labels)]

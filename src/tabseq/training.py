@@ -26,7 +26,7 @@ from .nn import Adam, cross_entropy, mse
 from .nn import tensor as T
 from .nn.checkpoint import load_checkpoint, save_checkpoint
 from .preprocess import MASK, N_SPECIALS, PreprocessArtifact, encode_numeric, encode_tokens
-from .schema import Dataset, SequenceWindow, stack_rows
+from .schema import Dataset, SequenceWindow
 
 # task -> (window labelling rule, model head)
 TASKS = {"fraud": ("any_positive", "binary"), "regression": ("last_target", "regression")}
@@ -132,14 +132,19 @@ def require_partitions(splits) -> None:
 
 
 def encode_inputs(windows: list[SequenceWindow], artifact: PreprocessArtifact, family: str):
-    """``family``'s model inputs for equal-length windows, from one encoder call over all
-    their rows: ``(features,)``, or ``(ids, raw)`` with ``raw`` only for hierarchical_joint."""
+    """``family``'s model inputs for equal-length windows of one dataset, from one
+    encoder call over all their rows: ``(features,)``, or ``(ids, raw)`` with
+    ``raw`` only for hierarchical_joint."""
     if not windows:
         raise EmptyResult("no windows to encode")
-    shape = (len(windows), len(windows[0].rows), artifact.schema.n_features)
-    if any(len(w.rows) != shape[1] for w in windows):
-        raise ShapeError(f"windows to encode differ in length (the first has {shape[1]} rows)")
-    block = SequenceWindow("", stack_rows(windows))
+    dataset, n = windows[0].dataset, len(windows[0].rows)
+    shape = (len(windows), n, artifact.schema.n_features)
+    if any(len(w.rows) != n for w in windows):
+        raise ShapeError(f"windows to encode differ in length (the first has {n} rows)")
+    if any(w.dataset is not dataset for w in windows):
+        raise ShapeError("windows to encode come from more than one dataset")
+    starts = np.fromiter((w.rows[0] for w in windows), np.int64, len(windows))
+    block = SequenceWindow("", dataset, (starts[:, None] + np.arange(n)).reshape(-1))
     if not family.startswith("hierarchical"):
         return (encode_numeric(block, artifact.schema, artifact.numeric).values.reshape(shape),)
     grid = encode_tokens(block, artifact.schema, artifact.vocab, artifact.quantizers,

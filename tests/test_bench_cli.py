@@ -753,6 +753,20 @@ class TestCli:
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
+    @pytest.mark.parametrize("command", ["evaluate", "finetune"])
+    def test_window_other_than_checkpoint_rejected(self, command, pipeline, trained_run,
+                                                   tmp_path, capsys):
+        # checked before the data is read: --data names no file here
+        _, data_dir, _ = pipeline
+        _, run = trained_run
+        args = self.evaluate_args(tmp_path / "absent.csv", data_dir, run)
+        args[args.index("--window") + 1] = "10"
+        if command == "finetune":
+            args = ["finetune", *args[1:], "--out", str(tmp_path / "ft.ckpt")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == \
+            "error: --window 10 does not match the checkpoint's window of 5 rows\n"
+
     def test_finetune_rejects_negative_fraction(self, pipeline, trained_run, tmp_path,
                                                 capsys):
         _, data_dir, _ = pipeline

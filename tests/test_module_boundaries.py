@@ -97,9 +97,15 @@ def public_definitions(tree: ast.Module):
                         yield f"{node.name}.{item.name}", item
 
 
+# Attributes of these modules name library functions, never a tabseq definition:
+# ``np.power`` is no caller of a ``power`` defined here.
+LIBRARIES = {"np", "numpy", "math", "scipy"}
+
+
 def references(tree: ast.Module):
     """(name, line) for each Name, Attribute and dotted string component,
-    leaving out the ``__all__`` list, whose strings only re-export."""
+    leaving out the ``__all__`` list, whose strings only re-export, and
+    attributes of ``LIBRARIES``."""
     skip = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
@@ -109,7 +115,8 @@ def references(tree: ast.Module):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            if (dotted(node.value) or "").partition(".")[0] not in LIBRARIES:
+                yield node.attr, node.lineno
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in skip):
             for part in node.value.split("."):

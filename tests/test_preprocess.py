@@ -26,11 +26,11 @@ from tabseq.preprocess import (
 )
 from tabseq.schema import (
     MISSING_CATEGORY,
+    Dataset,
     FieldKind,
     FieldSpec,
     Record,
     Schema,
-    SequenceWindow,
     impute_missing,
     make_windows,
 )
@@ -205,12 +205,12 @@ class TestEncodeTokens:
         g = encode_tokens(self.window, self.d.schema, self.art.vocab,
                           self.art.quantizers, keep_raw=True)
         assert g.raw is not None
-        assert g.raw[:, 0].tolist() == [r.values[3] for r in self.window.rows]
+        assert g.raw[:, 0].tolist() == [self.d.records[i].values[3] for i in self.window.rows]
 
     def test_schema_mismatch_rejected(self):
         other = make_dataset([("e1", 0, 0, 1.0, "A")],
                              schema=small_schema(nullable=True))
-        window = SequenceWindow("e1", other.records, 0)
+        window = make_windows(other, 1, 1)[0]
         from tabseq.preprocess import FieldTokens, Vocabulary
         from tabseq.schema import FieldKind
 
@@ -321,9 +321,10 @@ def oracle_artifact(edges, stats):
 
 def oracle_window(rows):
     """rows: one {field: value} dict per time step."""
-    return SequenceWindow("e", tuple(
+    records = tuple(
         Record(("e", float(t)) + tuple(r[f.name] for f in ORACLE_SCHEMA.fields[2:]), "e", t)
-        for t, r in enumerate(rows)))
+        for t, r in enumerate(rows))
+    return make_windows(Dataset(ORACLE_SCHEMA, records), len(rows), 1, "none")[0]
 
 
 @st.composite

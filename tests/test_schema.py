@@ -160,9 +160,10 @@ class TestMakeWindows:
         return make_dataset([("e1", t, labels[t], float(t), "A") for t in range(n_rows)])
 
     def test_offsets(self):
-        ws = make_windows(self._entity(24), 10, 5)
+        d = self._entity(24)
+        ws = make_windows(d, 10, 5)
         assert len(ws) == 3
-        assert [w.rows[0].time_index for w in ws] == [0, 5, 10]
+        assert [d.records[w.rows[0]].time_index for w in ws] == [0, 5, 10]
 
     def test_any_positive_rule(self):
         labels = [0] * 24
@@ -196,10 +197,11 @@ class TestMakeWindows:
     def test_windows_never_span_entities(self):
         rows = [("e1", t, 0, 1.0, "A") for t in range(6)]
         rows += [("e2", t, 0, 1.0, "A") for t in range(6)]
-        ws = make_windows(make_dataset(rows), 4, 1)
+        d = make_dataset(rows)
+        ws = make_windows(d, 4, 1)
         for w in ws:
-            assert len({r.entity for r in w.rows}) == 1
-            times = [r.time_index for r in w.rows]
+            assert len({d.records[i].entity for i in w.rows}) == 1
+            times = [d.records[i].time_index for i in w.rows]
             assert times == list(range(times[0], times[0] + 4))
 
     @given(t=st.integers(1, 40), n=st.integers(1, 12), stride=st.integers(1, 6))
@@ -218,5 +220,5 @@ class TestMakeWindows:
     def test_binary_label_is_or_of_rows(self, labels):
         d = self._entity(len(labels), labels)
         for w in make_windows(d, 4, 2):
-            t0 = w.rows[0].time_index
+            t0 = d.records[w.rows[0]].time_index
             assert w.label == int(any(labels[t0:t0 + 4]))

@@ -191,6 +191,35 @@ class TestEncodeInputs:
         raw = np.stack([g.raw for g in grids]) if joint else None
         return np.stack([g.ids for g in grids]), raw
 
+    @staticmethod
+    def assert_bit_equal(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_split_partition_bit_equal_to_per_window_encoders(self, fraud_dataset, family):
+        # one partition's windows at stride 1: entities are left out between
+        # them, so their start positions do not run on one from the next
+        d = impute_missing(fraud_dataset)
+        art = fit_preprocess(d, bins=6)
+        train_w, _, _ = split_entities(make_windows(d, 5, 1), 0.3, 0.3, 0, d.entities)
+        assert (np.diff([w.rows[0] for w in train_w]) > 1).any()
+        self.assert_bit_equal(encode_inputs(train_w, art, family),
+                              self.per_window(train_w, art, family))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_windows_of_two_datasets_rejected(self, fraud_dataset, family):
+        d = impute_missing(fraud_dataset)
+        art = fit_preprocess(d, bins=6)
+        other = Dataset(d.schema, d.records)  # the same rows, another dataset
+        windows = [make_windows(d, 5, 5)[0], make_windows(other, 5, 5)[1]]
+        with pytest.raises(ShapeError, match="more than one dataset"):
+            encode_inputs(windows, art, family)
+
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("held_out", [False, True], ids=["fitted", "held_out"])
@@ -206,13 +235,8 @@ class TestEncodeInputs:
                 d = with_cell(d, i, "cat_0", "c_unseen")
         windows = make_windows(d, 5, stride)
         assert len({w.entity for w in windows}) == (20 if held_out else 60)
-        got, want = encode_inputs(windows, art, family), self.per_window(windows, art, family)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g is None) == (w is None)
-            if g is not None:
-                assert g.dtype == w.dtype and g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
+        got = encode_inputs(windows, art, family)
+        self.assert_bit_equal(got, self.per_window(windows, art, family))
         if held_out:  # the unseen category reached the encoders
             c = [f.name for f in art.schema.feature_fields].index("cat_0")
             unknown = UNK if family.startswith("hierarchical") \
