@@ -174,7 +174,7 @@ def prepare(exp: ExperimentConfig):
     dataset = impute_missing(exp.data.load(exp.task))
     windows = make_windows(dataset, exp.window_size, exp.stride, TASKS[exp.task][0])
     split = (exp.val_fraction, exp.test_fraction, exp.seed)
-    splits = split_entities(windows, *split, dataset.entities)
+    splits = split_entities(windows, *split)
     require_partitions(splits)
     return splits, fit_preprocess(train_rows(dataset, *split), bins=exp.bins)
 

@@ -77,10 +77,8 @@ def _dataset(args, artifact: PreprocessArtifact, model=None) -> Dataset:
 def _entity_splits(args, artifact: PreprocessArtifact, label_rule: str, model=None):
     """The (train, val, test) windows of ``--data``, split by entity as
     ``tabseq preprocess`` and ``tabseq train`` split it."""
-    dataset = _dataset(args, artifact, model)
-    windows = make_windows(dataset, args.window, args.stride, label_rule)
-    return split_entities(windows, args.val_fraction, args.test_fraction, args.seed,
-                          dataset.entities)
+    windows = make_windows(_dataset(args, artifact, model), args.window, args.stride, label_rule)
+    return split_entities(windows, args.val_fraction, args.test_fraction, args.seed)
 
 
 def cmd_pretrain(args) -> int:

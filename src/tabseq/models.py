@@ -4,7 +4,9 @@
   each row linearly projected from its M features.
 * ``twin_tower`` -- a time tower (as in vanilla) in parallel with a feature
   tower attending across the M attribute channels; pooled tower outputs are
-  combined by a learned per-channel gate w1*O1 + w2*O2.
+  combined by a learned per-channel gate w1*O1 + w2*O2. A tower masked out by
+  ``tower_mask`` is built but not run: it keeps its initial parameters and
+  adds no attention pairs.
 * ``hierarchical`` -- token-grid input; a field encoder shared across rows
   attends over the M tokens of each row, its mean-pooled row embeddings feed
   a sequence encoder over the N rows. Supports MLM pretraining with
@@ -82,13 +84,15 @@ class ModelSpec(JsonConfig):
 
 def expected_attention_pairs(spec: ModelSpec, batch: int, rows: int | None = None) -> int:
     """Closed-form query-key pair count for one forward pass over ``batch``
-    windows. A hierarchical field encoder runs over ``rows`` rows: every row of
-    every window (``batch * n``) by default, the distinct rows under ``infer``."""
+    windows. A twin tower counts only the towers its mask keeps. A hierarchical
+    field encoder runs over ``rows`` rows: every row of every window
+    (``batch * n``) by default, the distinct rows under ``infer``."""
     n, m, h = spec.n, spec.m, spec.heads
     if spec.family == "vanilla":
         return batch * h * spec.layers * n * n
     if spec.family == "twin_tower":
-        return batch * h * spec.layers * (n * n + m * m)
+        kept = {"both": n * n + m * m, "time": n * n, "feature": m * m}[spec.tower_mask]
+        return batch * h * spec.layers * kept
     rows = batch * n if rows is None else rows
     return h * (spec.field_layers * rows * m * m + spec.layers * batch * n * n)
 
@@ -141,24 +145,20 @@ class TwinTowerModel(Module):
         self.gate_w1 = Tensor(np.ones(spec.hidden), requires_grad=True)
         self.gate_w2 = Tensor(np.ones(spec.hidden), requires_grad=True)
         self.head = L.TaskHead(spec.hidden, _head_width(spec.head), rng)
-        if spec.tower_mask == "time":
-            self.feature_tower.frozen = True
-        elif spec.tower_mask == "feature":
-            self.time_tower.frozen = True
-
-    def combine(self, o1: Tensor, o2: Tensor) -> Tensor:
-        """The gating channel: w1*O1 + w2*O2, with masked towers zeroed."""
-        m1 = 0.0 if self.spec.tower_mask == "feature" else 1.0
-        m2 = 0.0 if self.spec.tower_mask == "time" else 1.0
-        return self.gate_w1 * o1 * m1 + self.gate_w2 * o2 * m2
 
     def __call__(self, x: np.ndarray, train: bool = False, rng=None) -> Tensor:
+        """The head over the gating channel w1*O1 + w2*O2, summed over the
+        towers ``tower_mask`` keeps; a masked tower is not run."""
         if x.ndim != 3 or x.shape[1:] != (self.spec.n, self.spec.m):
             raise ShapeError(f"expected [batch, {self.spec.n}, {self.spec.m}], got {x.shape}")
         p = self.spec.dropout if train else 0.0
-        o1 = self.time_tower(Tensor(x), self.counter, p, rng)
-        o2 = self.feature_tower(Tensor(np.swapaxes(x, 1, 2)), self.counter, p, rng)
-        return self.head(self.combine(o1, o2))
+        gated = []
+        if self.spec.tower_mask != "feature":
+            gated.append(self.gate_w1 * self.time_tower(Tensor(x), self.counter, p, rng))
+        if self.spec.tower_mask != "time":
+            o2 = self.feature_tower(Tensor(np.swapaxes(x, 1, 2)), self.counter, p, rng)
+            gated.append(self.gate_w2 * o2)
+        return self.head(sum(gated[1:], gated[0]))
 
 
 class HierarchicalModel(Module):

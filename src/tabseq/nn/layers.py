@@ -29,33 +29,24 @@ class AttentionCounter:
 
 
 class Module:
-    frozen = False
-
-    def _walk(self, prefix: str, skip_frozen: bool):
-        """(name, parameter) pairs in attribute order, optionally skipping
-        frozen submodules."""
-        if skip_frozen and self.frozen:
-            return
+    def _walk(self, prefix: str):
+        """(name, parameter) pairs in attribute order."""
         for name, value in vars(self).items():
             key = f"{prefix}{name}"
             if isinstance(value, Tensor) and value.requires_grad:
                 yield key, value
             elif isinstance(value, Module):
-                yield from value._walk(f"{key}.", skip_frozen)
+                yield from value._walk(f"{key}.")
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield from item._walk(f"{key}.{i}.", skip_frozen)
+                        yield from item._walk(f"{key}.{i}.")
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
-        return dict(self._walk(prefix, skip_frozen=False))
+        return dict(self._walk(prefix))
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
-
-    def trainable_parameters(self) -> list[Tensor]:
-        """Parameters of all submodules not marked frozen."""
-        return [t for _, t in self._walk("", skip_frozen=True)]
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         params = self.named_parameters()

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import read_json, write_json
-from .errors import FieldKindError, RangeError, ShapeError
+from .errors import FieldKindError, RangeError, SchemaMismatch, ShapeError
 from .schema import MISSING_CATEGORY, Column, Dataset, FieldKind, Schema, SequenceWindow
 
 PAD, MASK, UNK, CLS = 0, 1, 2, 3
@@ -192,7 +192,9 @@ class FeatureMatrix:
 
 def _feature_cells(w: SequenceWindow, schema: Schema) -> list[tuple[Column, np.ndarray]]:
     """Each feature field's column and its cells at the window's rows; rejects a
-    missing cell."""
+    schema other than the window's dataset's, and a missing cell."""
+    if schema is not w.dataset.schema and schema != w.dataset.schema:
+        raise SchemaMismatch("encoder schema is not the schema of the window's dataset")
     at = w.positions
     cells = []
     for spec, c in zip(schema.feature_fields, schema.feature_columns):

@@ -99,15 +99,14 @@ def split_entity_names(entities, val_fraction: float, test_fraction: float, seed
 
 
 def split_entities(windows: list[SequenceWindow], val_fraction: float,
-                   test_fraction: float, seed: int, entities=None):
+                   test_fraction: float, seed: int):
     """Partition windows entity-wise into train/val/test (no entity leakage) by
-    the split of ``entities``, by default the windows' own. Pass every entity
-    of the dataset, as ``tabseq preprocess`` splits them, so that an entity
-    with fewer rows than the window still takes its place in the shuffle."""
+    the split of their dataset's entities, as ``tabseq preprocess`` splits them:
+    an entity with fewer rows than the window still takes its place in the shuffle."""
+    if not windows:
+        raise EmptyResult("no windows to split")
     train_set, val_set, test_set = split_entity_names(
-        {w.entity for w in windows} if entities is None else entities,
-        val_fraction, test_fraction, seed
-    )
+        windows[0].dataset.entities, val_fraction, test_fraction, seed)
     train = [w for w in windows if w.entity in train_set]
     val = [w for w in windows if w.entity in val_set]
     test = [w for w in windows if w.entity in test_set]
@@ -244,7 +243,7 @@ def _check_divergence(losses: list[float]) -> None:
 def _fit(model, loss_fn, n_train, eval_fn, cfg: TrainConfig):
     """Shared mini-batch loop: seeded shuffling, Adam, early stopping on the
     monitored loss, best-state restoration."""
-    opt = Adam(model.trainable_parameters(), lr=cfg.learning_rate)
+    opt = Adam(model.parameters(), lr=cfg.learning_rate)
     history = TrainHistory()
     best_loss, best_state, since_best = np.inf, None, 0
     train_losses = []

@@ -446,6 +446,20 @@ class TestAblation:
         assert {name: res["model_spec"]["tower_mask"] for name, res in arms.items()} == \
             {"twin_both": "both", "twin_time": "time", "twin_feature": "feature"}
 
+    def test_masked_arms_count_only_their_towers(self, tmp_path):
+        cfg = base_config()
+        cfg["arms"] = [cfg["arms"][1]]
+        arms = ablate_towers(cfg, tmp_path)["deterministic"]["arms"]
+        spec = arms["twin_both"]["model_spec"]
+        h, layers, n, m = spec["heads"], spec["layers"], spec["n"], spec["m"]
+        assert {name: res["attn_pairs"] for name, res in arms.items()} == {
+            "twin_both": h * layers * (n * n + m * m),
+            "twin_time": h * layers * n * n,
+            "twin_feature": h * layers * m * m,
+        }
+        for res in arms.values():
+            assert res["attn_pairs"] == res["attn_pairs_closed_form"]
+
     def test_requires_twin_tower_arm(self, tmp_path):
         cfg = base_config()
         cfg["arms"] = [cfg["arms"][0]]
@@ -684,7 +698,7 @@ class TestCli:
         data = impute_missing(load_csv(data_dir / "data.csv",
                                        Schema.load(data_dir / "schema.json")))
         windows = make_windows(data, 10, 5, "none")
-        train_w, _, _ = split_entities(windows, 0.2, 0.1, 3, data.entities)
+        train_w, _, _ = split_entities(windows, 0.2, 0.1, 3)
         assert 0 < len(train_w) < len(windows)
         assert main(["pretrain", "--data", str(data_dir / "data.csv"),
                      "--schema", str(data_dir / "schema.json"), "--artifact", str(artifact),
@@ -915,8 +929,8 @@ def test_commands_share_one_entity_split(tmp_path, monkeypatch):
     expect = split_entity_names({r.entity for r in kept.records}, 0.15, 0.15, 0)
     windows = make_windows(kept, 10, 1)
     assert not short & {w.entity for w in windows}
-    # the split of the windows' own entities alone disagrees with preprocess's
-    assert any(not {w.entity for w in part} <= names
+    # the windows' split shuffles the short entities too, as preprocess does
+    assert all({w.entity for w in part} <= names
                for part, names in zip(split_entities(windows, 0.15, 0.15, 0), expect))
 
     def within_expected(splits):

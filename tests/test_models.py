@@ -12,6 +12,7 @@ from tabseq.nn import Tensor
 from tabseq.nn import tensor as T
 from tabseq.preprocess import N_SPECIALS, FieldTokens, Vocabulary
 from tabseq.schema import FieldKind
+from tabseq.training import TrainConfig, train_supervised
 
 TOL = 1e-4
 
@@ -108,6 +109,9 @@ class TestAttentionAccounting:
         assert expected_attention_pairs(v, 4) == 4 * 2 * 2 * 25
         t = ModelSpec("twin_tower", 5, 3, hidden=8, heads=2, layers=2)
         assert expected_attention_pairs(t, 4) == 4 * 2 * 2 * (25 + 9)
+        for mask, kept in (("time", 25), ("feature", 9)):
+            t = ModelSpec("twin_tower", 5, 3, hidden=8, heads=2, layers=2, tower_mask=mask)
+            assert expected_attention_pairs(t, 4) == 4 * 2 * 2 * kept
         h = ModelSpec("hierarchical", 5, 3, hidden=8, heads=2, layers=2, field_layers=1)
         assert expected_attention_pairs(h, 4) == 4 * 2 * (1 * 5 * 9 + 2 * 25)
         assert expected_attention_pairs(h, 4, rows=7) == 2 * (1 * 7 * 9 + 4 * 2 * 25)
@@ -200,10 +204,12 @@ class TestTwinTower:
         model = self.make()
         model.gate_w1.data = rng.standard_normal(8)
         model.gate_w2.data = rng.standard_normal(8)
-        o1 = Tensor(rng.standard_normal((3, 8)))
-        o2 = Tensor(rng.standard_normal((3, 8)))
-        expect = model.gate_w1.data * o1.data + model.gate_w2.data * o2.data
-        assert np.max(np.abs(model.combine(o1, o2).data - expect)) == 0.0
+        model.head = lambda z: z  # the forward then returns the gating channel
+        x = rng.standard_normal((3, 4, 3))
+        o1 = model.time_tower(Tensor(x), None, 0.0, None).data
+        o2 = model.feature_tower(Tensor(np.swapaxes(x, 1, 2)), None, 0.0, None).data
+        expect = model.gate_w1.data * o1 + model.gate_w2.data * o2
+        assert np.array_equal(model(x).data, expect)
 
     def test_zero_w2_is_time_tower_only(self):
         rng = np.random.default_rng(6)
@@ -222,18 +228,25 @@ class TestTwinTower:
         both = self.make("both")
         o1 = both.time_tower(Tensor(x), both.counter, 0.0, None)
         o2 = both.feature_tower(Tensor(np.swapaxes(x, 1, 2)), both.counter, 0.0, None)
-        assert np.allclose(time_only(x).data, both.head(both.gate_w1 * o1).data)
-        assert np.allclose(feature_only(x).data, both.head(both.gate_w2 * o2).data)
+        assert np.array_equal(time_only(x).data, both.head(both.gate_w1 * o1).data)
+        assert np.array_equal(feature_only(x).data, both.head(both.gate_w2 * o2).data)
 
-    def test_mask_freezes_excluded_tower(self):
-        time_only = self.make("time")
-        trainable = {id(p) for p in time_only.trainable_parameters()}
-        excluded = [id(p) for p in time_only.feature_tower.parameters()]
-        kept = [id(p) for p in time_only.time_tower.parameters()]
-        assert not (set(excluded) & trainable)
-        assert set(kept) <= trainable
-        # parameter count stays comparable: frozen, not deleted
-        assert len(time_only.parameters()) == len(self.make().parameters())
+    def test_masked_tower_keeps_initial_parameters(self):
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal((24, 4, 3)), (rng.random(24) < 0.5).astype(np.float64)
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=8, epochs=2, patience=None, seed=0)
+        for mask, tower, gate in (("time", "feature_tower", "gate_w2"),
+                                  ("feature", "time_tower", "gate_w1")):
+            model = self.make(mask)
+            initial = model.state()
+            model, _ = train_supervised(model, ((x,), y), ((x,), y), cfg)
+            trained = model.state()
+            masked = [k for k in initial if k.startswith(f"{tower}.") or k == gate]
+            assert masked and all(trained[k].tobytes() == initial[k].tobytes() for k in masked)
+            assert any(trained[k].tobytes() != initial[k].tobytes() for k in initial
+                       if k not in masked)
+            # the masked tower is still built: the parameter count matches mask "both"
+            assert len(model.parameters()) == len(self.make().parameters())
 
     def test_unknown_mask_rejected(self):
         with pytest.raises(ConfigError):

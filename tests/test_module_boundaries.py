@@ -79,11 +79,6 @@ def test_no_private_reach_ins(module):
 
 PERFBENCH = SRC.parent / "perfbench"
 
-# Names only the tests call, kept because a gate uses them; each line says which.
-CALLER_ALLOWLIST = {
-    "Module.parameters",  # the gradient gates check every parameter, frozen ones too
-}
-
 
 def public_definitions(tree: ast.Module):
     """(qualified name, node) for each public top-level function and class,
@@ -133,8 +128,7 @@ def test_every_public_name_has_a_caller():
     uncalled = []
     for module, path in MODULES.items():
         for qualname, node in public_definitions(trees[path]):
-            if qualname not in CALLER_ALLOWLIST and all(
-                    p == path and node.lineno <= line <= node.end_lineno
-                    for p, line in sites[node.name]):
+            if all(p == path and node.lineno <= line <= node.end_lineno
+                   for p, line in sites[node.name]):
                 uncalled.append(f"{module}.{qualname}")
     assert not uncalled, "no caller outside tests: " + ", ".join(uncalled)

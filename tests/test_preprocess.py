@@ -1,4 +1,5 @@
 import bisect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, small_schema
-from tabseq.errors import FieldKindError, RangeError, ShapeError
+from tabseq.errors import FieldKindError, RangeError, SchemaMismatch, ShapeError
 from tabseq.preprocess import (
     CLS,
     MASK,
@@ -258,6 +259,30 @@ class TestEncodeNumeric:
         w = make_windows(d, len(values), 1)[0]
         fm = encode_numeric(w, d.schema, enc)
         assert np.all(np.isfinite(fm.values))
+
+
+@pytest.mark.parametrize("kinds", [(FieldKind.NUMERICAL, FieldKind.CATEGORICAL),
+                                   (FieldKind.NUMERICAL, FieldKind.NUMERICAL)])
+def test_encoders_reject_another_schemas_dataset(fraud_dataset, kinds):
+    # the same data under a schema with two feature fields swapped: an encoder
+    # given the artifact's schema would read each field from the other's column
+    d = impute_missing(fraud_dataset)
+    art = fit_preprocess(d, bins=4)
+    fields = list(d.schema.fields)
+    i = next(k for k, f in enumerate(fields) if f in d.schema.feature_fields
+             and f.kind is kinds[0])
+    j = next(k for k, f in enumerate(fields) if f in d.schema.feature_fields
+             and f.kind is kinds[1] and k != i)
+    order = list(range(len(fields)))
+    order[i], order[j] = j, i
+    swapped = Dataset.from_columns(replace(d.schema, fields=tuple(fields[k] for k in order)),
+                                   d.entities, d.entity, d.time_index,
+                                   tuple(d.columns[k] for k in order))
+    w = make_windows(swapped, 5, 5)[0]
+    with pytest.raises(SchemaMismatch):
+        encode_numeric(w, art.schema, art.numeric)
+    with pytest.raises(SchemaMismatch):
+        encode_tokens(w, art.schema, art.vocab, art.quantizers)
 
 
 class TestArtifact:

@@ -117,6 +117,10 @@ class TestSplitEntities:
         b = split_entities(windows, 0.2, 0.2, seed=1)
         assert [w.entity for w in a[0]] == [w.entity for w in b[0]]
 
+    def test_no_windows_rejected(self):
+        with pytest.raises(EmptyResult):
+            split_entities([], 0.15, 0.15, seed=0)
+
     @pytest.mark.parametrize("val_fraction, test_fraction", [(-0.1, 0.15), (0.15, 1.2),
                                                              (0.6, 0.5)])
     def test_fractions_out_of_range_rejected(self, val_fraction, test_fraction):
@@ -206,7 +210,7 @@ class TestEncodeInputs:
         # them, so their start positions do not run on one from the next
         d = impute_missing(fraud_dataset)
         art = fit_preprocess(d, bins=6)
-        train_w, _, _ = split_entities(make_windows(d, 5, 1), 0.3, 0.3, 0, d.entities)
+        train_w, _, _ = split_entities(make_windows(d, 5, 1), 0.3, 0.3, 0)
         assert (np.diff([w.rows[0] for w in train_w]) > 1).any()
         self.assert_bit_equal(encode_inputs(train_w, art, family),
                               self.per_window(train_w, art, family))
