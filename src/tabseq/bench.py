@@ -119,6 +119,16 @@ class ArmConfig(JsonConfig):
             raise ConfigError(f"{arm}: smote_k needs upsample 'smote'")
         if self.target_ratio is not None and self.upsample == "none":
             raise ConfigError(f"{arm}: target_ratio needs upsample 'smote' or 'duplicate'")
+        if self.upsample != "none":
+            try:
+                self.smote_config(seed=0)
+            except ConfigError as exc:
+                raise ConfigError(f"{arm}: {exc}") from None
+
+    def smote_config(self, seed: int) -> SmoteConfig:
+        """The arm's upsampling settings; unset keys take SmoteConfig's defaults."""
+        given = {"k": self.smote_k, "target_ratio": self.target_ratio}
+        return SmoteConfig(seed=seed, **{k: v for k, v in given.items() if v is not None})
 
     @property
     def architecture(self) -> str:
@@ -208,8 +218,7 @@ def _upsample_training_data(arm: ArmConfig, inputs, y, seed):
         return inputs, y
     pos_idx = np.nonzero(y == 1.0)[0]
     neg_count = int(np.sum(y != 1.0))
-    given = {"k": arm.smote_k, "target_ratio": arm.target_ratio}
-    smote_cfg = SmoteConfig(seed=seed, **{k: v for k, v in given.items() if v is not None})
+    smote_cfg = arm.smote_config(seed)
     if arm.upsample == "smote":
         synthetic = smote_upsample(inputs[0][pos_idx], neg_count, smote_cfg)
         x = np.concatenate([inputs[0], synthetic])

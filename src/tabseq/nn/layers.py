@@ -53,6 +53,9 @@ class Module:
         missing = set(params) - set(state)
         if missing:
             raise ShapeError(f"state is missing parameters: {sorted(missing)[:5]} ...")
+        unknown = set(state) - set(params)
+        if unknown:
+            raise ShapeError(f"state has tensors the model lacks: {sorted(unknown)[:5]} ...")
         for name, tensor in params.items():
             arr = np.asarray(state[name], dtype=tensor.data.dtype)
             if arr.shape != tensor.data.shape:

@@ -9,10 +9,11 @@ A ``Dataset`` holds its rows column by column, sorted by (entity, time index):
   distinct strings for a categorical one, each with a mask of its missing
   cells.
 
-``Dataset.records`` reads the columns back as ``Record``s of plain Python
-values: ``str`` for categorical cells, ``float`` for numerical cells, and
-``None`` for missing cells; ``Record``s are also how hand-built rows enter a
-``Dataset``. A ``SequenceWindow`` refers to its rows by position in its dataset.
+``Dataset.records`` builds ``Record``s of plain Python values from the
+columns on each read: ``str`` for categorical cells, ``float`` for numerical
+cells, and ``None`` for missing cells. ``Record``s are how hand-built rows
+enter a ``Dataset``; the dataset keeps only its columns. A ``SequenceWindow``
+refers to its rows by position in its dataset.
 """
 
 from __future__ import annotations
@@ -218,9 +219,9 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.time_index)
 
-    @cached_property
+    @property
     def records(self) -> tuple[Record, ...]:
-        """The rows as Records of plain Python values."""
+        """The rows as Records of plain Python values, built on each read."""
         entities = map(self.entities.__getitem__, self.entity.tolist())
         rows = zip(zip(*(c.values() for c in self.columns)), entities, self.time_index.tolist())
         return tuple(map(Record._make, rows))
@@ -413,9 +414,9 @@ def save_csv(d: Dataset, path) -> None:
     with output_to(path), open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f.name for f in d.schema.fields])
-        for rec in d.records:
-            writer.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v)
-                             for v in rec.values])
+        columns = (["" if v is None else (repr(v) if isinstance(v, float) else v)
+                    for v in c.values()] for c in d.columns)
+        writer.writerows(zip(*columns))
 
 
 def _impute(col: Column) -> Column:

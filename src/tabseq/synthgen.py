@@ -16,7 +16,8 @@ The planted structure is architecture-discriminating on purpose:
 
 All randomness flows through counter-based (Philox) streams derived from
 the config seed, one stream per entity plus one for label assignment, so
-output is bit-reproducible and generation is parallelizable per entity.
+output is bit-reproducible. Rows are computed as [entity, row, field] arrays,
+which become the dataset's columns directly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .config import JsonConfig
 from .errors import ConfigError
-from .schema import Dataset, FieldKind, FieldSpec, Record, Schema
+from .schema import Column, Dataset, FieldKind, FieldSpec, Schema
 
 LAG = 3
 
@@ -67,12 +68,9 @@ class GenConfig(JsonConfig):
             raise ConfigError("serial_correlation must lie in [0, 1)")
 
 
-def _make_schema(cfg: GenConfig, label_kind: FieldKind) -> Schema:
-    fields = [
-        FieldSpec("entity_id", FieldKind.CATEGORICAL),
-        FieldSpec("time_idx", FieldKind.NUMERICAL),
-        FieldSpec("label", label_kind),
-    ]
+def _make_schema(cfg: GenConfig) -> Schema:
+    fields = [FieldSpec("entity_id", FieldKind.CATEGORICAL),
+              FieldSpec("time_idx", FieldKind.NUMERICAL), FieldSpec("label", FieldKind.NUMERICAL)]
     fields += [FieldSpec(f"num_{i}", FieldKind.NUMERICAL, nullable=True)
                for i in range(cfg.numerical_fields)]
     fields += [FieldSpec(f"cat_{i}", FieldKind.CATEGORICAL, nullable=True)
@@ -80,66 +78,55 @@ def _make_schema(cfg: GenConfig, label_kind: FieldKind) -> Schema:
     return Schema(tuple(fields), entity_key="entity_id", time_key="time_idx", label_key="label")
 
 
-def _ar1(rng: np.random.Generator, rows: int, fields: int, phi: float) -> np.ndarray:
-    """Stationary AR(1) columns: x_t = phi*x_{t-1} + sqrt(1-phi^2)*eps_t,
-    so the marginal law stays standard normal for any phi in [0, 1)."""
-    eps = rng.standard_normal((rows, fields))
-    if phi == 0.0:
-        return eps
-    x = np.empty_like(eps)
-    x[0] = eps[0]
-    innovation = np.sqrt(1.0 - phi**2)
-    for t in range(1, rows):
-        x[t] = phi * x[t - 1] + innovation * eps[t]
-    return x
+def _draw_features(cfg: GenConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Numeric rows [E, T, F] and categorical ids [E, T, C]. Numerics are AR(1),
+    x_t = phi*x_{t-1} + sqrt(1-phi^2)*eps_t, standard normal for any phi in [0, 1);
+    an id repeats the previous one with probability phi, else is drawn uniformly,
+    so its law stays uniform. Each entity draws from its own stream; the
+    recursions then step all entities at once."""
+    phi, entities, rows = cfg.serial_correlation, cfg.entities, cfg.rows_per_entity
+    cards = cfg.categorical_cardinalities
+    x = np.empty((entities, rows, cfg.numerical_fields))
+    ids = np.empty((entities, rows, len(cards)), dtype=np.int64)
+    stay = np.empty((entities, rows, len(cards)), dtype=bool)
+    for e in range(entities):
+        rng = _entity_rng(cfg.seed, e)
+        x[e] = rng.standard_normal((rows, cfg.numerical_fields))
+        for j, card in enumerate(cards):
+            ids[e, :, j] = rng.integers(0, card, size=rows)
+            if phi != 0.0:
+                stay[e, :, j] = rng.random(rows) < phi
+    if phi != 0.0:
+        innovation = np.sqrt(1.0 - phi**2)
+        for t in range(1, rows):  # x[:, t] holds eps_t until this step
+            x[:, t] = phi * x[:, t - 1] + innovation * x[:, t]
+            ids[:, t] = np.where(stay[:, t], ids[:, t - 1], ids[:, t])
+    return x, ids
 
 
-def _sticky_categories(rng: np.random.Generator, rows: int, card: int,
-                       phi: float) -> np.ndarray:
-    """Markov chain with uniform stationary law: repeat the previous value
-    with probability phi, otherwise resample uniformly."""
-    fresh = rng.integers(0, card, size=rows)
-    if phi == 0.0:
-        return fresh
-    stay = rng.random(rows) < phi
-    out = fresh.copy()
-    for t in range(1, rows):
-        if stay[t]:
-            out[t] = out[t - 1]
+def _lag_means(x: np.ndarray, first: int) -> np.ndarray:
+    """Mean of field 0 of rows [..., T, F] over the previous LAG rows (fewer at
+    the start), from row ``first`` on; 0 before it."""
+    out = np.zeros(x.shape[:-1])
+    for i in range(first, x.shape[-2]):
+        out[..., i] = x[..., max(0, i - LAG):i, 0].mean(axis=-1)
     return out
 
 
-def _draw_features(cfg: GenConfig):
-    """Per-entity numeric matrices [T, F] and categorical id matrices [T, C]."""
-    phi = cfg.serial_correlation
-    nums, cats = [], []
-    for e in range(cfg.entities):
-        rng = _entity_rng(cfg.seed, e)
-        nums.append(_ar1(rng, cfg.rows_per_entity, cfg.numerical_fields, phi))
-        cats.append(
-            np.column_stack(
-                [_sticky_categories(rng, cfg.rows_per_entity, card, phi)
-                 for card in cfg.categorical_cardinalities]
-            )
-            if cfg.categorical_cardinalities
-            else np.zeros((cfg.rows_per_entity, 0), dtype=np.int64)
-        )
-    return nums, cats
-
-
 def temporal_term(x: np.ndarray) -> np.ndarray:
-    """Rolling mean of field 0 over the previous LAG rows times its current value."""
-    t = np.zeros(len(x))
-    for i in range(LAG, len(x)):
-        t[i] = x[i - LAG : i, 0].mean() * x[i, 0]
+    """Rolling mean of field 0 over the previous LAG rows times its current
+    value, for rows [..., T, F]; 0 in the first LAG rows."""
+    t = _lag_means(x, LAG)
+    t[..., LAG:] *= x[..., LAG:, 0]
     return t
 
 
 def cross_term(x: np.ndarray) -> np.ndarray:
-    """Same-row product of numeric fields 1 and 2 (0 if fewer than 3 fields)."""
-    if x.shape[1] < 3:
-        return np.zeros(len(x))
-    return x[:, 1] * x[:, 2]
+    """Same-row product of numeric fields 1 and 2 of rows [..., T, F] (0 if
+    fewer than 3 fields)."""
+    if x.shape[-1] < 3:
+        return np.zeros(x.shape[:-1])
+    return x[..., 1] * x[..., 2]
 
 
 def _calibrate_intercept(z: np.ndarray, rate: float, scale: float) -> float:
@@ -154,18 +141,26 @@ def _calibrate_intercept(z: np.ndarray, rate: float, scale: float) -> float:
     return (lo + hi) / 2
 
 
-def _records(cfg: GenConfig, nums, cats, labels, label_fmt) -> list[Record]:
-    records = []
+def _category_column(ids: np.ndarray) -> Column:
+    """The column whose cell reads "c{id}": its categories are the observed
+    names sorted as strings ("c10" before "c2"), as a Dataset sorts them."""
+    present, inverse = np.unique(ids, return_inverse=True)
+    names = np.array([f"c{k}" for k in present.tolist()])
+    order = np.argsort(names)
+    return Column(np.argsort(order)[inverse], tuple(names[order].tolist()))
+
+
+def _dataset(cfg: GenConfig, x: np.ndarray, ids: np.ndarray, label: np.ndarray) -> Dataset:
+    """The dataset of rows [E, T, ...]: entity e is named e{e}, zero-padded so
+    that the names sort in entity order, and row t has time index t."""
     width = len(str(cfg.entities - 1))
-    for e in range(cfg.entities):
-        entity = f"e{e:0{width}d}"
-        for i in range(cfg.rows_per_entity):
-            values = (entity, float(i), label_fmt(labels[e][i]))
-            values += tuple(float(v) for v in nums[e][i])
-            values += tuple(f"c{int(k)}" for k in cats[e][i])
-            records.append(Record(values, entity, i))
-    records.sort(key=lambda r: (r.entity, r.time_index))
-    return records
+    entities = tuple(f"e{e:0{width}d}" for e in range(cfg.entities))
+    entity, time_index = np.indices(x.shape[:2], dtype=np.int64).reshape(2, -1)
+    columns = [Column(entity, entities), Column(time_index.astype(np.float64)),
+               Column(label.ravel())]
+    columns += [Column(x[..., j].ravel()) for j in range(x.shape[-1])]
+    columns += [_category_column(ids[..., j].ravel()) for j in range(ids.shape[-1])]
+    return Dataset.from_columns(_make_schema(cfg), entities, entity, time_index, tuple(columns))
 
 
 def generate_fraud_dataset(cfg: GenConfig) -> Dataset:
@@ -176,14 +171,9 @@ def generate_fraud_dataset(cfg: GenConfig) -> Dataset:
     equals ``fraud_rate``. With both strengths zero the labels are i.i.d.
     Bernoulli(fraud_rate), independent of the features.
     """
-    nums, cats = _draw_features(cfg)
-    z = np.concatenate(
-        [
-            cfg.temporal_signal_strength * temporal_term(x)
-            + cfg.cross_feature_signal_strength * cross_term(x)
-            for x in nums
-        ]
-    )
+    x, ids = _draw_features(cfg)
+    z = (cfg.temporal_signal_strength * temporal_term(x)
+         + cfg.cross_feature_signal_strength * cross_term(x)).ravel()
     std = z.std()
     if std > 0:
         z = (z - z.mean()) / std
@@ -191,31 +181,20 @@ def generate_fraud_dataset(cfg: GenConfig) -> Dataset:
     intercept = _calibrate_intercept(z, cfg.fraud_rate, scale)
     probs = 1.0 / (1.0 + np.exp(-(scale * z + intercept)))
     label_rng = _entity_rng(cfg.seed, cfg.entities)
-    flat = (label_rng.random(len(z)) < probs).astype(np.float64)
-    labels = flat.reshape(cfg.entities, cfg.rows_per_entity)
-    schema = _make_schema(cfg, FieldKind.NUMERICAL)
-    return Dataset(schema, tuple(_records(cfg, nums, cats, labels, float)))
+    labels = (label_rng.random(len(z)) < probs).astype(np.float64)
+    return _dataset(cfg, x, ids, labels)
 
 
 def noiseless_target(x: np.ndarray) -> np.ndarray:
-    """The documented regression generating function for one entity's rows."""
-    t = np.zeros(len(x))
-    for i in range(len(x)):
-        lag = x[max(0, i - LAG) : i, 0]
-        rolling = lag.mean() if len(lag) else 0.0
-        t[i] = np.sin(rolling) + 0.5 * np.tanh(x[i, 0])
-        if x.shape[1] >= 3:
-            t[i] += 0.25 * x[i, 1] * x[i, 2]
+    """The documented regression generating function of rows [..., T, F]."""
+    t = np.sin(_lag_means(x, 1)) + 0.5 * np.tanh(x[..., 0])
+    if x.shape[-1] >= 3:
+        t += 0.25 * x[..., 1] * x[..., 2]
     return t
 
 
 def generate_regression_dataset(cfg: GenConfig) -> Dataset:
     """Real-valued per-row targets: noiseless_target plus seeded Gaussian noise."""
-    nums, cats = _draw_features(cfg)
-    noise_rng = _entity_rng(cfg.seed, cfg.entities)
-    targets = [
-        noiseless_target(x) + cfg.noise_scale * noise_rng.standard_normal(len(x))
-        for x in nums
-    ]
-    schema = _make_schema(cfg, FieldKind.NUMERICAL)
-    return Dataset(schema, tuple(_records(cfg, nums, cats, targets, float)))
+    x, ids = _draw_features(cfg)
+    noise = _entity_rng(cfg.seed, cfg.entities).standard_normal(x.shape[:-1])
+    return _dataset(cfg, x, ids, noiseless_target(x) + cfg.noise_scale * noise)

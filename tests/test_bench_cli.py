@@ -4,6 +4,7 @@ import csv
 import inspect
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -198,6 +199,18 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="epochs.*\\(arm 'sweep_001'\\)"):
             sweep(cfg, {"epochs": [1, 0]}, tmp_path / "sweep")
         assert not [entry for out in tmp_path.iterdir() for entry in out.iterdir()]
+
+    @pytest.mark.parametrize("patch, match", [
+        ({"upsample": "smote", "target_ratio": 1.5}, "arm 'twin': target_ratio must lie"),
+        ({"upsample": "duplicate", "target_ratio": 0.0}, "arm 'twin': target_ratio must lie"),
+        ({"upsample": "smote", "smote_k": 0}, "arm 'twin': neighbor count k"),
+    ], ids=["smote-ratio", "duplicate-ratio", "smote-k"])
+    def test_bad_upsampling_fails_before_any_arm_trains(self, patch, match, tmp_path):
+        cfg = base_config()
+        cfg["arms"][1].update(patch)
+        with pytest.raises(ConfigError, match=match):
+            run_experiment(cfg, tmp_path / "exp")
+        assert not (tmp_path / "exp").exists()
 
     def test_upsample_on_regression_rejected(self, tmp_path):
         cfg = base_config(task="regression")
@@ -960,3 +973,33 @@ def test_commands_share_one_entity_split(tmp_path, monkeypatch):
     assert main(["finetune", *common, "--checkpoint", str(ckpt), "--epochs", "1",
                  "--out", str(tmp_path / "tuned.ckpt")]) == 0
     assert len(seen) == 1 and within_expected(seen[0])
+
+
+BLAS_SCRIPT = """
+import json, sys
+from tabseq.bench import run_experiment
+report = run_experiment(json.loads(sys.argv[1]), "out")
+sys.stdout.write(json.dumps(report["deterministic"], sort_keys=True))
+"""
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    # one run under a single OpenBLAS thread, one under every core; each writes
+    # to "out" in its own directory, since the section holds the report paths
+    cfg = base_config(window_size=10)
+    cfg["data"]["generator"]["numerical_fields"] = 4  # 6 feature fields
+    for arm in cfg["arms"]:
+        arm["train"]["batch_size"] = 64
+    path = os.pathsep.join(p for p in (str(PYPROJECT.parent / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    sections = []
+    for i, threads in enumerate((1, os.cpu_count())):
+        (tmp_path / str(i)).mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_SCRIPT, json.dumps(cfg)], cwd=tmp_path / str(i),
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)})
+        assert proc.returncode == 0, proc.stderr
+        sections.append(proc.stdout)
+    assert sorted(json.loads(sections[0])["arms"]) == ["hier", "twin", "vanilla"]
+    assert sections[0] == sections[1]

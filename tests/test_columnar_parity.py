@@ -269,8 +269,8 @@ def test_columnar_path_matches_per_row_oracle(tmp_path_factory, case, n, stride,
     if isinstance(expected, tuple):
         assert windows == expected
         return
-    assert [(w.entity, w.label, tuple(data.records[i] for i in w.rows))
-            for w in windows] == expected
+    rows = data.records
+    assert [(w.entity, w.label, tuple(rows[i] for i in w.rows)) for w in windows] == expected
 
     fit_on = train_rows(data, 0.25, 0.25, 0)  # leaves categories and bins unseen
     entities = set(fit_on.entities)

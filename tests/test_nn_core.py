@@ -424,6 +424,13 @@ class TestLayers:
         with pytest.raises(ShapeError):
             mha(Tensor(np.zeros((2, 3, 7))))
 
+    def test_load_state_rejects_unknown_tensor(self):
+        lin = Linear(3, 2, np.random.default_rng(0))
+        before = lin.state()
+        with pytest.raises(ShapeError, match="extra"):
+            lin.load_state({**before, "extra": np.zeros(2)})
+        assert all(np.array_equal(lin.state()[k], v) for k, v in before.items())
+
     def test_ffn_gradients(self):
         rng = np.random.default_rng(17)
         ffn = FeedForward(6, rng)

@@ -206,7 +206,8 @@ class TestEncodeTokens:
         g = encode_tokens(self.window, self.d.schema, self.art.vocab,
                           self.art.quantizers, keep_raw=True)
         assert g.raw is not None
-        assert g.raw[:, 0].tolist() == [self.d.records[i].values[3] for i in self.window.rows]
+        rows = self.d.records
+        assert g.raw[:, 0].tolist() == [rows[i].values[3] for i in self.window.rows]
 
     def test_schema_mismatch_rejected(self):
         other = make_dataset([("e1", 0, 0, 1.0, "A")],

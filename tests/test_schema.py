@@ -163,7 +163,8 @@ class TestMakeWindows:
         d = self._entity(24)
         ws = make_windows(d, 10, 5)
         assert len(ws) == 3
-        assert [d.records[w.rows[0]].time_index for w in ws] == [0, 5, 10]
+        rows = d.records
+        assert [rows[w.rows[0]].time_index for w in ws] == [0, 5, 10]
 
     def test_any_positive_rule(self):
         labels = [0] * 24
@@ -199,9 +200,10 @@ class TestMakeWindows:
         rows += [("e2", t, 0, 1.0, "A") for t in range(6)]
         d = make_dataset(rows)
         ws = make_windows(d, 4, 1)
+        rows = d.records
         for w in ws:
-            assert len({d.records[i].entity for i in w.rows}) == 1
-            times = [d.records[i].time_index for i in w.rows]
+            assert len({rows[i].entity for i in w.rows}) == 1
+            times = [rows[i].time_index for i in w.rows]
             assert times == list(range(times[0], times[0] + 4))
 
     @given(t=st.integers(1, 40), n=st.integers(1, 12), stride=st.integers(1, 6))
@@ -219,6 +221,7 @@ class TestMakeWindows:
     @settings(max_examples=40, deadline=None)
     def test_binary_label_is_or_of_rows(self, labels):
         d = self._entity(len(labels), labels)
+        rows = d.records
         for w in make_windows(d, 4, 2):
-            t0 = d.records[w.rows[0]].time_index
+            t0 = rows[w.rows[0]].time_index
             assert w.label == int(any(labels[t0:t0 + 4]))

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from tabseq.errors import ConfigError
-from tabseq.schema import Dataset, FieldKind
+from tabseq.schema import Dataset, FieldKind, save_csv
 from tabseq.synthgen import (
     LAG,
     GenConfig,
@@ -22,10 +24,54 @@ def label_column(d):
     return np.array([r.values[col] for r in d.records])
 
 
-def numeric_matrix(d, entity):
-    cols = [d.schema.index_of(f"num_{i}") for i in range(4)]
-    rows = [r for r in d.records if r.entity == entity]
-    return np.array([[r.values[c] for c in cols] for r in rows])
+# SHA-256 of save_csv's output, recorded when the generator still built one
+# Record per row (numpy 2.4, x86-64 with AVX-512: numpy's exp, sin and tanh
+# kernels depend on the CPU, so another CPU may round a cell differently)
+RECORDED_CSV = {
+    ("fraud", "phi0-card12-one-numeric"):
+        "82eecf3dd1ac0f0efe42fa0a139f1ce7d9d5a587365f5bb6fbf988b25ab7ecdc",
+    ("regression", "phi0-card12-one-numeric"):
+        "ea98509b2a84480fc2829206ee4daef9b01a23c9b22265f0596dae4d668eafe3",
+    ("fraud", "phi05-no-categorical"):
+        "c30384fc55658e284c7d2a3928534eb2438a144885b7d86e7ed3d0eff38233c7",
+    ("regression", "phi05-no-categorical"):
+        "81d2cbf4c394205928c3b2d36901f659948c416c34fa17ea60e033f9083fe4d5",
+    ("fraud", "phi03-card25"):
+        "0ee45ec4cb754319c52cb0788b1d1db6f44702efe8b482ac4e75dba9cb5b6ec8",
+    ("regression", "phi03-card25"):
+        "6f2c71644a550901e88eff562ea7ff59523ba6720350d07eefb96bfd3fb3de5e",
+}
+RECORDED_CONFIGS = {
+    "phi0-card12-one-numeric": GenConfig(entities=6, rows_per_entity=8, numerical_fields=1,
+                                         categorical_cardinalities=(12, 3), fraud_rate=0.2,
+                                         serial_correlation=0.0, seed=2),
+    "phi05-no-categorical": GenConfig(entities=12, rows_per_entity=7, numerical_fields=4,
+                                      categorical_cardinalities=(), fraud_rate=0.2,
+                                      serial_correlation=0.5, seed=3),
+    "phi03-card25": GenConfig(entities=5, rows_per_entity=9, numerical_fields=3,
+                              categorical_cardinalities=(25,), fraud_rate=0.2,
+                              serial_correlation=0.3, noise_scale=0.2, seed=4),
+}
+GENERATORS = {"fraud": generate_fraud_dataset, "regression": generate_regression_dataset}
+
+
+@pytest.mark.parametrize("task, name", sorted(RECORDED_CSV))
+def test_csv_bytes_match_recording(task, name, tmp_path):
+    d = GENERATORS[task](RECORDED_CONFIGS[name])
+    if name != "phi05-no-categorical":  # covers two-digit ids, which sort as strings
+        assert any(len(c) > 2 for c in d.columns[d.schema.index_of("cat_0")].categories)
+    save_csv(d, tmp_path / "data.csv")
+    assert hashlib.sha256((tmp_path / "data.csv").read_bytes()).hexdigest() == \
+        RECORDED_CSV[task, name]
+
+
+@pytest.mark.parametrize("fn", [temporal_term, cross_term, noiseless_target])
+@pytest.mark.parametrize("fields", [2, 4])
+def test_stacked_rows_equal_per_entity_calls(fn, fields):
+    x = np.random.default_rng(1).standard_normal((2, 5, 11, fields))
+    stacked = fn(x)
+    assert stacked.shape == (2, 5, 11)
+    assert np.array_equal(stacked, [[fn(rows) for rows in block] for block in x])
 
 
 class TestGenConfig:
@@ -116,8 +162,8 @@ class TestFraudGenerator:
                         cross_feature_signal_strength=0.0, seed=7)
         d = generate_fraud_dataset(cfg)
         y = label_column(d).reshape(cfg.entities, cfg.rows_per_entity)
-        z = np.array([temporal_term(numeric_matrix_all(d, cfg)[e])
-                      for e in range(cfg.entities)])
+        mats = numeric_matrix_all(d, cfg)
+        z = np.array([temporal_term(mats[e]) for e in range(cfg.entities)])
         top = z > np.quantile(z, 0.9)
         assert y[top].mean() > 3 * y[~top].mean()
 

@@ -44,12 +44,15 @@ def separable_data(n=200, seed=0):
     return (x,), y
 
 
-def with_cell(d, row, name, value):
-    """``d`` with the cell of field ``name`` in record ``row`` replaced by ``value``."""
+def with_cells(d, rows, name, value):
+    """``d`` with the cell of field ``name`` in each record of ``rows`` replaced by
+    ``value``."""
     col = d.schema.index_of(name)
-    rec = d.records[row]
-    rec = rec._replace(values=rec.values[:col] + (value,) + rec.values[col + 1:])
-    return Dataset(d.schema, d.records[:row] + (rec,) + d.records[row + 1:])
+    records = list(d.records)
+    for row in rows:
+        rec = records[row]
+        records[row] = rec._replace(values=rec.values[:col] + (value,) + rec.values[col + 1:])
+    return Dataset(d.schema, records)
 
 
 def token_fixture(fraud_dataset, n=5, joint=False):
@@ -235,8 +238,7 @@ class TestEncodeInputs:
                              bins=6)
         if held_out:  # the other 20 entities, every 7th row in a category never fitted
             d = Dataset(d.schema, tuple(r for r in d.records if r.entity not in fit_on))
-            for i in range(0, len(d.records), 7):
-                d = with_cell(d, i, "cat_0", "c_unseen")
+            d = with_cells(d, range(0, len(d), 7), "cat_0", "c_unseen")
         windows = make_windows(d, 5, stride)
         assert len({w.entity for w in windows}) == (20 if held_out else 60)
         got = encode_inputs(windows, art, family)
@@ -251,7 +253,7 @@ class TestEncodeInputs:
     @pytest.mark.parametrize("field_name", ["num_0", "cat_0"])
     def test_missing_cell_rejected(self, fraud_dataset, family, field_name):
         art = fit_preprocess(impute_missing(fraud_dataset), bins=6)
-        d = with_cell(fraud_dataset, 12, field_name, None)  # not imputed
+        d = with_cells(fraud_dataset, [12], field_name, None)  # not imputed
         with pytest.raises(RangeError, match=f"missing value in field '{field_name}'"):
             encode_inputs(make_windows(d, 5, 5), art, family)
 
@@ -262,7 +264,7 @@ class TestEncodeInputs:
         art = fit_preprocess(d, bins=6)
         name = min(art.numeric.stats, key=lambda f: art.numeric.stats[f][1])
         assert art.numeric.stats[name][1] < 1.0  # so the largest float overflows
-        d = with_cell(d, 12, name, float(np.finfo(np.float64).max))
+        d = with_cells(d, [12], name, float(np.finfo(np.float64).max))
         with pytest.raises(RangeError, match="feature matrix contains non-finite entries"):
             encode_inputs(make_windows(d, 5, 5), art, family)
 
@@ -530,6 +532,17 @@ class TestPretrainFineTune:
         del header[key]
         ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blob)
         with pytest.raises(RangeError, match=key):
+            restore_model(ckpt, art)
+
+    def test_restore_rejects_unknown_tensor(self, tmp_path, fraud_dataset):
+        art, ids, _, _ = token_fixture(fraud_dataset)
+        spec = ModelSpec("vanilla", 5, ids.shape[2], hidden=8, heads=2, layers=1)
+        ckpt = tmp_path / "model.ckpt"
+        save_model(ckpt, build_model(spec, seed=0), art, seed=0)
+        header, state = load_checkpoint(ckpt)
+        state["stray.weight"] = np.zeros((2, 3))
+        save_checkpoint(ckpt, state, header["model_spec"], vocab_hash=header["vocab_hash"])
+        with pytest.raises(ShapeError, match="stray.weight"):
             restore_model(ckpt, art)
 
     @pytest.mark.parametrize("fault", ["missing", "reshaped"])

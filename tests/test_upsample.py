@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,34 @@ class TestKNearestNeighbors:
         nn = k_nearest_neighbors(flat, 3)
         for i in range(10):
             assert i not in nn[i]
+
+    @staticmethod
+    def full_matrix(flat, k):
+        """All n² distances at once, the stable sort breaking ties by row order."""
+        d2 = np.sum((flat[:, None, :] - flat[None, :, :]) ** 2, axis=-1)
+        np.fill_diagonal(d2, np.inf)
+        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+    @pytest.mark.parametrize("n, k", [(1, 3), (6, 5), (127, 4), (128, 5), (257, 5), (300, 9)])
+    def test_bit_equal_to_full_matrix(self, n, k):
+        rng = np.random.default_rng(n)
+        flat = rng.standard_normal((n, 7))
+        flat[n // 2:] = flat[: n - n // 2]  # exact ties, across blocks when n > 128
+        flat[::5] = np.round(flat[::5])
+        got = k_nearest_neighbors(flat, k)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, self.full_matrix(flat, k))
+
+    def test_memory_stays_below_the_full_matrix(self):
+        # the [n, n, F] differences alone take 1500² · 4 · 8 bytes, about 69 MiB
+        flat = np.random.default_rng(3).standard_normal((1500, 4))
+        tracemalloc.start()
+        try:
+            k_nearest_neighbors(flat, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestSmote:
