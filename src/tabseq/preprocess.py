@@ -15,37 +15,33 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .config import read_json, write_json
-from .errors import FieldKindError, RangeError, SchemaMismatch, ShapeError
+from .errors import FieldKindError, RangeError, SchemaMismatch, ShapeError, TabseqError
 from .schema import MISSING_CATEGORY, Column, Dataset, FieldKind, Schema, SequenceWindow
 
 PAD, MASK, UNK, CLS = 0, 1, 2, 3
 N_SPECIALS = 4
 
 STD_FLOOR = 1e-8
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
+ARTIFACT_KEYS = ("version", "schema", "edges", "stats", "categories")
 
 
 @dataclass(frozen=True)
 class Quantizer:
-    """Equal-frequency binning of one numerical field."""
+    """Equal-frequency binning of one numerical field into ``len(edges) + 1`` bins."""
 
     field: str
     edges: tuple[float, ...]
-    bins: int
 
-    def __post_init__(self):
-        if self.bins < 1:
-            raise RangeError("bin count must be >= 1")
-        if list(self.edges) != sorted(set(self.edges)):
-            raise RangeError("edges must be strictly increasing")
-        if len(self.edges) != self.bins - 1:
-            raise RangeError("edge count must be bins - 1")
+    @property
+    def bins(self) -> int:
+        return len(self.edges) + 1
 
     @cached_property
     def edge_array(self) -> np.ndarray:
@@ -66,15 +62,11 @@ def fit_quantizer(d: Dataset, field_name: str, bins: int) -> Quantizer:
     if bins < 1:
         raise RangeError("bin count must be >= 1")
     values = _present(d.columns[d.schema.index_of(field_name)])
-    if values.size == 0:
-        return Quantizer(field_name, (), 1)
+    _check_quantizable(values)
     b = min(bins, len(np.unique(values)))
-    if b <= 1:
-        return Quantizer(field_name, (), 1)
-    qs = np.arange(1, b) / b
-    edges = np.quantile(values, qs, method="averaged_inverted_cdf")
-    edges = sorted(set(float(e) for e in edges))
-    return Quantizer(field_name, tuple(edges), len(edges) + 1)
+    edges = np.quantile(values, np.arange(1, b) / b, method="averaged_inverted_cdf") \
+        if b > 1 else ()
+    return Quantizer(field_name, tuple(sorted(set(map(float, edges)))))
 
 
 def _present(col: Column) -> np.ndarray:
@@ -124,43 +116,14 @@ class Vocabulary:
     @cached_property
     def category_tokens(self) -> dict[str, dict[str, int]]:
         """Per categorical field, {category: token}; absent categories encode as UNK."""
-        tables = {}
-        for ft in self.fields:
-            if ft.kind is FieldKind.CATEGORICAL:
-                table = tables[ft.name] = {}
-                for i, entry in enumerate(ft.entries):
-                    table.setdefault(entry, ft.start + i)  # first position, as entries.index
-        return tables
+        return {ft.name: {c: ft.start + i for i, c in enumerate(ft.entries)}
+                for ft in self.fields if ft.kind is FieldKind.CATEGORICAL}
 
     def field_tokens(self, name: str) -> FieldTokens:
         try:
             return self._by_name[name]
         except KeyError:
             raise ShapeError(f"field {name!r} not in vocabulary") from None
-
-
-def build_vocabulary(d: Dataset, quantizers: dict[str, Quantizer]) -> Vocabulary:
-    """Assign dense, disjoint token ranges to every feature field.
-
-    Categorical fields contribute their observed categories (sorted) plus the
-    reserved missing category; numerical fields contribute one token per bin.
-    Unseen categories at encode time fall back to the global UNK special.
-    """
-    tables = []
-    next_id = N_SPECIALS
-    for spec in d.schema.feature_fields:
-        if spec.kind is FieldKind.CATEGORICAL:
-            col = d.columns[d.schema.index_of(spec.name)]
-            observed = [col.categories[i] for i in np.unique(_present(col)).tolist()]
-            entries = tuple(c for c in observed if c != MISSING_CATEGORY) + (MISSING_CATEGORY,)
-        else:
-            if spec.name not in quantizers:
-                raise FieldKindError(f"no quantizer supplied for numerical field {spec.name!r}")
-            q = quantizers[spec.name]
-            entries = tuple(f"bin_{i}" for i in range(q.bins))
-        tables.append(FieldTokens(spec.name, spec.kind, next_id, entries))
-        next_id += len(entries)
-    return Vocabulary(tuple(tables))
 
 
 @dataclass(frozen=True)
@@ -239,36 +202,14 @@ def encode_tokens(
 
 @dataclass(frozen=True)
 class NumericEncoder:
-    """Per-field statistics for the direct numeric encoding.
+    """The direct numeric encoding's tables: a numerical field's (mean, std), a
+    categorical field's labels, with the next integer for unseen categories."""
 
-    Numerical fields carry frozen (mean, std) standardization statistics;
-    categorical fields carry a category -> integer label table with a
-    reserved integer for unseen categories.
-    """
-
-    stats: dict = field(default_factory=dict)  # field -> (mean, std)
-    label_tables: dict = field(default_factory=dict)  # field -> {category: int}
+    stats: dict  # field -> (mean, std)
+    label_tables: dict  # field -> {category: int}
 
     def unknown_label(self, field_name: str) -> int:
         return len(self.label_tables[field_name])
-
-
-def fit_numeric_encoder(d: Dataset, vocab: Vocabulary) -> NumericEncoder:
-    """Fit standardization stats on a (training) dataset; each categorical
-    field labels its vocabulary entries by position."""
-    stats = {}
-    tables = {}
-    for spec in d.schema.feature_fields:
-        if spec.kind is FieldKind.NUMERICAL:
-            vals = _present(d.columns[d.schema.index_of(spec.name)])
-            if vals.size == 0:
-                stats[spec.name] = (0.0, STD_FLOOR)
-            else:
-                stats[spec.name] = (float(vals.mean()), max(float(vals.std()), STD_FLOOR))
-        else:
-            entries = vocab.field_tokens(spec.name).entries
-            tables[spec.name] = {c: i for i, c in enumerate(entries)}
-    return NumericEncoder(stats, tables)
 
 
 def encode_numeric(w: SequenceWindow, schema: Schema, enc: NumericEncoder) -> FeatureMatrix:
@@ -282,8 +223,7 @@ def encode_numeric(w: SequenceWindow, schema: Schema, enc: NumericEncoder) -> Fe
             x[:, j] = cells
             stats.append(enc.stats[spec.name])
         else:
-            table = enc.label_tables[spec.name]
-            x[:, j] = col.lookup(table, enc.unknown_label(spec.name))[cells]
+            x[:, j] = col.lookup(enc.label_tables[spec.name], enc.unknown_label(spec.name))[cells]
             stats.append((0.0, 1.0))  # (label - 0.0) / 1.0 is the label, exactly
     mean, std = np.array(stats, dtype=np.float64).T
     return FeatureMatrix(np.divide(x - mean, std, order="C"))
@@ -291,83 +231,123 @@ def encode_numeric(w: SequenceWindow, schema: Schema, enc: NumericEncoder) -> Fe
 
 @dataclass(frozen=True)
 class PreprocessArtifact:
-    """The full encoding state shared by pretraining and fine-tuning runs."""
+    """The encoding state shared by pretraining and fine-tuning runs: the schema
+    and each feature field's fitted facts, held once. A numerical field has bin
+    ``edges`` and ``(mean, std)`` ``stats``, a categorical field ``categories``
+    with the missing category last; the quantizers, the vocabulary and the
+    numeric encoder are derived from these, once per artifact."""
 
     schema: Schema
-    quantizers: dict[str, Quantizer]
-    vocab: Vocabulary
-    numeric: NumericEncoder
+    edges: dict[str, tuple[float, ...]]
+    stats: dict[str, tuple[float, float]]
+    categories: dict[str, tuple[str, ...]]
+
+    def __post_init__(self):
+        for table, kind in (("edges", FieldKind.NUMERICAL), ("stats", FieldKind.NUMERICAL),
+                            ("categories", FieldKind.CATEGORICAL)):
+            want = sorted(f.name for f in self.schema.feature_fields if f.kind is kind)
+            if sorted(getattr(self, table)) != want:
+                raise RangeError(f"{table} must cover the {kind.value} feature fields "
+                                 f"{want}, not {sorted(getattr(self, table))}")
+        for name, e in self.edges.items():
+            if not (np.isfinite(e).all() and (np.diff(e) > 0).all()):
+                raise RangeError(f"edges of field {name!r} must be finite and strictly increasing")
+        for name, s in self.stats.items():
+            if not (len(s) == 2 and np.isfinite(s).all() and s[1] >= STD_FLOOR):
+                raise RangeError(f"stats of field {name!r} must be finite, std >= {STD_FLOOR}")
+        for name, c in self.categories.items():
+            if len(set(c)) != len(c) or c[-1:] != (MISSING_CATEGORY,):
+                raise RangeError(f"categories of field {name!r} must be distinct and end "
+                                 f"with {MISSING_CATEGORY!r}")
+
+    @cached_property
+    def quantizers(self) -> dict[str, Quantizer]:
+        return {name: Quantizer(name, e) for name, e in self.edges.items()}
+
+    @cached_property
+    def vocab(self) -> Vocabulary:
+        """Dense, disjoint token ranges in feature-field order: a categorical
+        field's categories, or one token per bin of a numerical field. Unseen
+        categories at encode time fall back to the global UNK special."""
+        fields, start = [], N_SPECIALS
+        for spec in self.schema.feature_fields:
+            if spec.kind is FieldKind.CATEGORICAL:
+                entries = self.categories[spec.name]
+            else:
+                entries = tuple(f"bin_{i}" for i in range(self.quantizers[spec.name].bins))
+            fields.append(FieldTokens(spec.name, spec.kind, start, entries))
+            start += len(entries)
+        return Vocabulary(tuple(fields))
+
+    @cached_property
+    def numeric(self) -> NumericEncoder:
+        """The stats, and each categorical field's categories labelled by position."""
+        return NumericEncoder(self.stats, {name: {c: i for i, c in enumerate(cats)}
+                                           for name, cats in self.categories.items()})
 
     def to_json(self) -> dict:
-        return {
-            "version": ARTIFACT_VERSION,
-            "schema": self.schema.to_json(),
-            "quantizers": {
-                name: {"edges": list(q.edges), "bins": q.bins}
-                for name, q in sorted(self.quantizers.items())
-            },
-            "vocabulary": [
-                {
-                    "name": ft.name,
-                    "kind": ft.kind.value,
-                    "start": ft.start,
-                    "entries": list(ft.entries),
-                }
-                for ft in self.vocab.fields
-            ],
-            "numeric": {
-                "stats": {k: list(v) for k, v in sorted(self.numeric.stats.items())},
-                "label_tables": {
-                    k: dict(sorted(v.items(), key=lambda kv: kv[1]))
-                    for k, v in sorted(self.numeric.label_tables.items())
-                },
-            },
-        }
+        return {"version": ARTIFACT_VERSION, "schema": self.schema.to_json(),
+                **{key: {name: list(v) for name, v in getattr(self, key).items()}
+                   for key in ("edges", "stats", "categories")}}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "PreprocessArtifact":
-        try:
-            if doc.get("version") != ARTIFACT_VERSION:
-                raise RangeError(f"unsupported artifact version {doc.get('version')!r}")
-            schema = Schema.from_json(doc["schema"])
-            quantizers = {
-                name: Quantizer(name, tuple(q["edges"]), q["bins"])
-                for name, q in doc["quantizers"].items()
-            }
-            vocab = Vocabulary(
-                tuple(
-                    FieldTokens(f["name"], FieldKind(f["kind"]), f["start"], tuple(f["entries"]))
-                    for f in doc["vocabulary"]
-                )
-            )
-            numeric = NumericEncoder(
-                {k: tuple(v) for k, v in doc["numeric"]["stats"].items()},
-                {k: dict(v) for k, v in doc["numeric"]["label_tables"].items()},
-            )
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
-            raise RangeError(f"malformed artifact document: {exc}") from exc
-        return cls(schema, quantizers, vocab, numeric)
+    def from_json(cls, doc) -> "PreprocessArtifact":
+        """The artifact of a version-2 document; a document that ``to_json``
+        would not write back unchanged raises ``RangeError``."""
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != ARTIFACT_VERSION:
+            raise RangeError(f"unsupported artifact version {version!r}")
+        if set(doc) != set(ARTIFACT_KEYS):
+            raise RangeError(f"artifact keys must be {list(ARTIFACT_KEYS)}, not {list(doc)}")
+        schema = Schema.from_json(doc["schema"])
+        if _canonical(schema.to_json()) != _canonical(doc["schema"]):
+            raise RangeError("the artifact's schema must give every key of every field")
+        return cls(schema, _table(doc, "edges", float), _table(doc, "stats", float),
+                   _table(doc, "categories", str))
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical JSON form; ties checkpoints to encodings."""
-        blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return hashlib.sha256(_canonical(self.to_json()).encode("utf-8")).hexdigest()
 
     def save(self, path) -> None:
         write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "PreprocessArtifact":
-        return cls.from_json(read_json(path))
+        doc = read_json(path)
+        try:
+            return cls.from_json(doc)
+        except TabseqError as exc:
+            raise type(exc)(f"{path}: {exc}; re-run `tabseq preprocess` to refit it") from None
+
+
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _table(doc: dict, key: str, item: type) -> dict[str, tuple]:
+    """``doc[key]``, an object of arrays of ``item``, as {field: tuple}."""
+    table = doc[key]
+    if not (isinstance(table, dict) and all(isinstance(v, list) and all(
+            isinstance(x, item) for x in v) for v in table.values())):
+        raise RangeError(f"artifact {key} must map fields to arrays of {item.__name__}")
+    return {name: tuple(v) for name, v in table.items()}
 
 
 def fit_preprocess(d: Dataset, bins: int = 32) -> PreprocessArtifact:
-    """Fit quantizers, vocabulary, and numeric encoder on a training dataset."""
-    quantizers = {
-        spec.name: fit_quantizer(d, spec.name, bins)
-        for spec in d.schema.feature_fields
-        if spec.kind is FieldKind.NUMERICAL
-    }
-    vocab = build_vocabulary(d, quantizers)
-    numeric = fit_numeric_encoder(d, vocab)
-    return PreprocessArtifact(d.schema, quantizers, vocab, numeric)
+    """Fit each feature field's facts on a training dataset: a numerical field's
+    bin edges and standardization stats, a categorical field's observed
+    categories (sorted) followed by the missing category."""
+    edges, stats, categories = {}, {}, {}
+    for spec in d.schema.feature_fields:
+        col = d.columns[d.schema.index_of(spec.name)]
+        values = _present(col)
+        if spec.kind is FieldKind.NUMERICAL:
+            edges[spec.name] = fit_quantizer(d, spec.name, bins).edges
+            stats[spec.name] = (float(values.mean()), max(float(values.std()), STD_FLOOR)) \
+                if values.size else (0.0, STD_FLOOR)
+        else:
+            observed = [col.categories[i] for i in np.unique(values).tolist()]
+            categories[spec.name] = tuple(c for c in observed if c != MISSING_CATEGORY) \
+                + (MISSING_CATEGORY,)
+    return PreprocessArtifact(d.schema, edges, stats, categories)

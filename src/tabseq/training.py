@@ -415,14 +415,29 @@ def load_transformer_preset(name: str) -> dict:
     return preset
 
 
+# every transformer preset's keys; a preset may also give a "stride" and a "seed"
+PRESET_KEYS = {"name", "architecture", "hidden_units", "attention_heads", "dropout",
+               "learning_rate", "optimizer", "batch_size", "mlm_probability", "window_size"}
+
+
+def _transformer_preset(preset: dict) -> dict:
+    """``preset``, once no key of PRESET_KEYS is missing from it and no other key is in it."""
+    missing, unknown = PRESET_KEYS - set(preset), set(preset) - PRESET_KEYS - {"stride", "seed"}
+    if missing or unknown:
+        raise ConfigError(f"preset {preset.get('name')!r}: missing keys {sorted(missing)}, "
+                          f"unknown keys {sorted(unknown)}")
+    return preset
+
+
 def preset_train_config(preset: dict, **overrides) -> TrainConfig:
     """Map a preset document's optimisation fields onto a TrainConfig; no entry
     point applies its window size, stride and seed (the paper's values)."""
+    preset = _transformer_preset(preset)
     return TrainConfig.from_json({
         "learning_rate": preset["learning_rate"],
-        "optimizer": preset.get("optimizer", "adam").lower(),
+        "optimizer": str(preset["optimizer"]).lower(),
         "batch_size": preset["batch_size"],
-        "mlm_probability": preset.get("mlm_probability"),
+        "mlm_probability": preset["mlm_probability"],
         **overrides,
     })
 
@@ -430,6 +445,7 @@ def preset_train_config(preset: dict, **overrides) -> TrainConfig:
 def preset_model_spec(preset: dict, **overrides) -> ModelSpec:
     """Map a preset document's architecture fields onto a ModelSpec; the
     window shape and the head come from the data and the task."""
+    preset = _transformer_preset(preset)
     return ModelSpec.from_json({
         "family": preset["architecture"],
         "hidden": preset["hidden_units"],

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError, TooFewSamples
 
 UPSAMPLE_METHODS = ("none", "smote", "duplicate")
-KNN_BLOCK_ROWS = 128  # rows whose distances to all rows k_nearest_neighbors holds at once
+KNN_BLOCK_CELLS = 2**20  # float64 differences k_nearest_neighbors holds at once
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,12 @@ class SmoteConfig:
 
 def k_nearest_neighbors(flat: np.ndarray, k: int) -> np.ndarray:
     """Indices [n, k] of each row's k nearest other rows (Euclidean), ties in row
-    order; distances are taken KNN_BLOCK_ROWS rows at a time, not n² at once."""
+    order; distances are taken a block of rows at a time, not n² at once, the
+    block's [rows, n, F] differences holding KNN_BLOCK_CELLS values or one row's."""
     out = np.empty((len(flat), min(k, len(flat))), dtype=np.intp)
-    for start in range(0, len(flat), KNN_BLOCK_ROWS):
-        block = flat[start:start + KNN_BLOCK_ROWS]
+    rows = max(1, KNN_BLOCK_CELLS // max(1, flat.size))
+    for start in range(0, len(flat), rows):
+        block = flat[start:start + rows]
         d2 = np.sum((block[:, None, :] - flat[None, :, :]) ** 2, axis=-1)
         np.fill_diagonal(d2[:, start:], np.inf)  # each row's distance to itself
         out[start:start + len(block)] = np.argsort(d2, axis=1, kind="stable")[:, :k]

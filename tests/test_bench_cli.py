@@ -667,6 +667,21 @@ class TestCli:
             arm = reported[f"twin_{mask}"]
             assert {k: arm[k] for k in metrics} == pytest.approx(metrics, abs=1e-6)
 
+    def test_version_1_artifact_names_its_file(self, pipeline, trained_run, tmp_path,
+                                               capsys):
+        # a version-1 artifact is refused; the message says which file and what to do
+        _, data_dir, _ = pipeline
+        _, out = trained_run
+        doc = json.loads((out / "preprocess.json").read_text())
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"version": 1, "schema": doc["schema"], "quantizers": {},
+                                   "vocabulary": [], "numeric": {}}))
+        args = self.evaluate_args(data_dir / "data.csv", data_dir, out)
+        args[args.index("--artifact") + 1] = str(old)
+        assert main(args) == 1
+        assert capsys.readouterr().err == (f"error: {old}: unsupported artifact version 1; "
+                                           "re-run `tabseq preprocess` to refit it\n")
+
     @pytest.mark.parametrize("command", ["evaluate", "finetune"])
     def test_vocabulary_checked_before_data(self, command, pipeline, tmp_path, capsys):
         # the data path does not exist: a file error would mean the CSV was read first

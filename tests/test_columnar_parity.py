@@ -159,10 +159,10 @@ def oracle_encode(schema, rows, art, family):
         for spec, col in zip(feats, cells):
             if spec.kind is FieldKind.NUMERICAL:
                 x.append(col)
-                stats.append(art.numeric.stats[spec.name])
+                stats.append(art.stats[spec.name])
             else:
-                table = art.numeric.label_tables[spec.name]
-                x.append([table.get(c, art.numeric.unknown_label(spec.name)) for c in col])
+                labels = art.categories[spec.name]
+                x.append([labels.index(c) if c in labels else len(labels) for c in col])
                 stats.append((0.0, 1.0))
         mean, std = np.array(stats, dtype=np.float64).T
         x = np.array(x, dtype=np.float64).reshape(m, n)
@@ -280,7 +280,7 @@ def test_columnar_path_matches_per_row_oracle(tmp_path_factory, case, n, stride,
         if isinstance(fitted[0], str):
             assert art.vocab.field_tokens(name).entries == fitted
         else:
-            assert (art.quantizers[name].edges, art.numeric.stats[name]) == fitted
+            assert (art.edges[name], art.stats[name]) == fitted
     rows = tuple(r for _, _, block in expected for r in block)
     shape = (len(windows), n, schema.n_features)
     assert np.array_equal(window_labels(windows),

@@ -19,9 +19,9 @@ SCHEMA_DOC = small_schema(nullable=True).to_json()
 CSV_SCHEMA = small_schema(nullable=True)
 CSV_FILE = (b"entity_id,time_idx,label,amount,channel\n"
             b"e1,0,0.0,1.25,A\ne1,1,1.0,,B\ne2,0,0.0,-3.5,\n")
-ARTIFACT_DOC = fit_preprocess(impute_missing(generate_fraud_dataset(
+ARTIFACT_DOC = json.loads(json.dumps(fit_preprocess(impute_missing(generate_fraud_dataset(
     GenConfig(entities=3, rows_per_entity=4, numerical_fields=1,
-              categorical_cardinalities=(2,), seed=1))), bins=2).to_json()
+              categorical_cardinalities=(2,), seed=1))), bins=2).to_json()))
 
 
 def _parses_or_tabseq_error(load, doc):
@@ -40,7 +40,12 @@ def test_schema_document(doc):
 @given(mutated(ARTIFACT_DOC) | json_values)
 @settings(max_examples=300, deadline=None)
 def test_artifact_document(doc):
-    _parses_or_tabseq_error(PreprocessArtifact.from_json, doc)
+    # a document that loads is the one its artifact writes: nothing in it is ignored
+    try:
+        art = PreprocessArtifact.from_json(doc)
+    except TabseqError:
+        return
+    assert json.loads(json.dumps(art.to_json())) == doc
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
@@ -82,3 +84,20 @@ def test_encode_inputs_is_timed_as_setup():
         assert (w, n, m) == (6 * 3, 4, 5)  # 6 entities x 3 windows, 4 rows, 5 features
         assert seen[family]["setup_s"] > 0
         assert seen[family]["cells"] == w * n * m
+
+
+@pytest.mark.parametrize("workload", ["quickstart", "pretrain_finetune", "score"])
+def test_tiny_workloads_pass_their_checks(workload, tmp_path, monkeypatch):
+    # each workload's own output checks, run in-process at the self-test size:
+    # a renamed attribute that a workload reads fails here, not only in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    inputs, cache = tmp_path / "inputs", tmp_path / "cache"
+    inputs.mkdir()
+    workloads.PREPARE[workload]("tiny", 7, str(inputs), str(cache))
+    monkeypatch.chdir(inputs)
+    ops = []
+    out = workloads.RUN[workload]("tiny", 7, str(cache), ops)
+    assert [op["name"] for op in ops] == list(workloads.OPERATIONS[workload])
+    assert [op for op in ops if not op["ok"]] == []
+    assert out["deterministic"]

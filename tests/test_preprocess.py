@@ -1,4 +1,5 @@
 import bisect
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,19 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, small_schema
+from tabseq.config import write_json
 from tabseq.errors import FieldKindError, RangeError, SchemaMismatch, ShapeError
 from tabseq.preprocess import (
     CLS,
     MASK,
     N_SPECIALS,
     PAD,
+    STD_FLOOR,
     UNK,
     FieldTokens,
-    NumericEncoder,
     PreprocessArtifact,
     Quantizer,
     Vocabulary,
-    build_vocabulary,
     encode_numeric,
     encode_tokens,
     fit_preprocess,
@@ -98,18 +99,18 @@ class TestQuantizer:
             fit_quantizer(amounts_dataset([1, 2]), "channel", 2)
 
     def test_apply_boundary_rule(self):
-        q = Quantizer("amount", (2.5,), 2)
+        q = Quantizer("amount", (2.5,))
         assert apply_quantizer(q, 3.0) == 1
         assert apply_quantizer(q, 2.5) == 0
 
     def test_apply_out_of_range_clamps(self):
-        q = Quantizer("amount", (10.0, 20.0), 3)
+        q = Quantizer("amount", (10.0, 20.0))
         assert apply_quantizer(q, -999.0) == 0
         assert apply_quantizer(q, 999.0) == 2
 
     def test_apply_non_finite_rejected(self):
         with pytest.raises(RangeError):
-            apply_quantizer(Quantizer("amount", (0.0,), 2), float("nan"))
+            apply_quantizer(Quantizer("amount", (0.0,)), float("nan"))
 
     def test_equal_frequency_split(self):
         # distinct values, bin count dividing the sample size: equal bin loads
@@ -179,11 +180,6 @@ class TestVocabulary:
         _, art = self.make_artifact()
         with pytest.raises(RangeError):
             decode_token(art.vocab, MASK)
-
-    def test_missing_quantizer_rejected(self):
-        d, _ = self.make_artifact()
-        with pytest.raises(FieldKindError):
-            build_vocabulary(d, {})
 
 
 class TestEncodeTokens:
@@ -311,6 +307,71 @@ class TestArtifact:
         with pytest.raises(RangeError):
             PreprocessArtifact.from_json(doc)
 
+    def test_document_holds_only_the_facts(self, fraud_dataset):
+        doc = fit_preprocess(impute_missing(fraud_dataset), bins=4).to_json()
+        assert sorted(doc) == ["categories", "edges", "schema", "stats", "version"]
+        assert doc["version"] == 2
+        assert sorted(doc["edges"]) == sorted(doc["stats"]) == ["num_0", "num_1", "num_2",
+                                                                "num_3"]
+        assert sorted(doc["categories"]) == ["cat_0", "cat_1"]
+
+    def test_derived_parts_built_once(self, fraud_dataset):
+        # Column.lookup caches by the table's identity, so a table rebuilt on
+        # each access would grow that cache on every encoder call
+        art = fit_preprocess(impute_missing(fraud_dataset), bins=4)
+        assert art.vocab is art.vocab and art.quantizers is art.quantizers
+        assert art.numeric is art.numeric
+        assert art.numeric.stats is art.stats
+
+    # each edit makes a document that states a fact twice, leaves one out, or
+    # breaks a check; the version-1 keys are among them
+    REJECTED = {
+        "version 1": lambda d: d.update(version=1),
+        "unknown key": lambda d: d.update(bins=4),
+        "version-1 vocabulary": lambda d: d.update(vocabulary=[]),
+        "version-1 label tables": lambda d: d.update(numeric={"label_tables": {}}),
+        "missing key": lambda d: d.pop("stats"),
+        "table not an object": lambda d: d.update(edges=[]),
+        "extra stats field": lambda d: d["stats"].update(cat_0=[0.0, 1.0]),
+        "missing edges field": lambda d: d["edges"].pop("num_0"),
+        "categories of a numerical field": lambda d: d["categories"].update(
+            num_0=[MISSING_CATEGORY]),
+        "non-finite edge": lambda d: d["edges"]["num_0"].append(float("inf")),
+        "decreasing edges": lambda d: d["edges"]["num_0"].reverse(),
+        "repeated edge": lambda d: d["edges"]["num_0"].append(d["edges"]["num_0"][-1]),
+        "integer edge": lambda d: d["edges"]["num_0"].append(10**6),
+        "non-finite mean": lambda d: d["stats"]["num_0"].__setitem__(0, float("nan")),
+        "std below the floor": lambda d: d["stats"]["num_0"].__setitem__(1, STD_FLOOR / 2),
+        "three stats": lambda d: d["stats"]["num_0"].append(1.0),
+        "repeated category": lambda d: d["categories"]["cat_0"].insert(
+            0, d["categories"]["cat_0"][0]),
+        "missing category not last": lambda d: d["categories"]["cat_0"].reverse(),
+        "non-string category": lambda d: d["categories"]["cat_0"].insert(0, 1),
+        "schema key left out": lambda d: d["schema"]["fields"][0].pop("nullable"),
+    }
+
+    @pytest.mark.parametrize("edit", REJECTED.values(), ids=REJECTED.keys())
+    def test_malformed_document_rejected(self, fraud_dataset, edit):
+        art = fit_preprocess(impute_missing(fraud_dataset), bins=4)
+        doc = json.loads(json.dumps(art.to_json()))
+        assert PreprocessArtifact.from_json(doc).to_json() == art.to_json()
+        edit(doc)
+        with pytest.raises(RangeError):
+            PreprocessArtifact.from_json(doc)
+
+    def test_fit_rejects_non_finite_value(self):
+        with pytest.raises(RangeError, match="cannot quantize non-finite value inf"):
+            fit_preprocess(amounts_dataset([1.0, 2.0, float("inf")]))
+
+    def test_load_names_the_file(self, tmp_path, fraud_dataset):
+        doc = fit_preprocess(impute_missing(fraud_dataset), bins=4).to_json()
+        path = tmp_path / "old.json"
+        write_json(path, {**doc, "version": 1})
+        with pytest.raises(RangeError) as info:
+            PreprocessArtifact.load(path)
+        assert str(info.value) == (f"{path}: unsupported artifact version 1; re-run "
+                                   "`tabseq preprocess` to refit it")
+
 
 # Reference encoders written per cell, without the code under test: bin ids by
 # bisect on the edges, tokens by position in the field's entries.
@@ -330,19 +391,19 @@ KNOWN = {"c": ("a", "b", "c"), "d": ("p", "q")}
 
 
 def oracle_artifact(edges, stats):
-    """Hand-built quantizers, vocabulary and numeric encoder for ORACLE_SCHEMA."""
-    quantizers = {name: Quantizer(name, tuple(e), len(e) + 1) for name, e in edges.items()}
+    """An artifact of hand-picked facts for ORACLE_SCHEMA; its derived vocabulary
+    must be the one built here by hand."""
+    categories = {name: KNOWN[name] + (MISSING_CATEGORY,) for name in KNOWN}
+    art = PreprocessArtifact(ORACLE_SCHEMA, {name: tuple(e) for name, e in edges.items()},
+                             stats, categories)
     tables, start = [], N_SPECIALS
     for spec in ORACLE_SCHEMA.feature_fields:
-        if spec.kind is FieldKind.CATEGORICAL:
-            entries = KNOWN[spec.name] + (MISSING_CATEGORY,)
-        else:
-            entries = tuple(f"bin_{i}" for i in range(quantizers[spec.name].bins))
+        entries = categories[spec.name] if spec.name in categories \
+            else tuple(f"bin_{i}" for i in range(len(edges[spec.name]) + 1))
         tables.append(FieldTokens(spec.name, spec.kind, start, entries))
         start += len(entries)
-    labels = {name: {c: i for i, c in enumerate(KNOWN[name] + (MISSING_CATEGORY,))}
-              for name in KNOWN}
-    return quantizers, Vocabulary(tuple(tables)), NumericEncoder(stats, labels)
+    assert art.vocab == Vocabulary(tuple(tables))
+    return art.quantizers, art.vocab, art.numeric
 
 
 def oracle_window(rows):
@@ -390,7 +451,8 @@ class TestEncoderOracle:
 
         def feature(name, v):
             if name in KNOWN:
-                return enc.label_tables[name].get(v, len(enc.label_tables[name]))
+                labels = KNOWN[name] + (MISSING_CATEGORY,)
+                return labels.index(v) if v in labels else len(labels)
             mean, std = stats[name]
             return (v - mean) / std
 

@@ -23,6 +23,7 @@ from tabseq.training import (
     load_preset,
     mask_tokens,
     predict_scores,
+    preset_model_spec,
     preset_train_config,
     pretrain_mlm,
     restore_model,
@@ -246,7 +247,7 @@ class TestEncodeInputs:
         if held_out:  # the unseen category reached the encoders
             c = [f.name for f in art.schema.feature_fields].index("cat_0")
             unknown = UNK if family.startswith("hierarchical") \
-                else art.numeric.unknown_label("cat_0")
+                else len(art.categories["cat_0"])
             assert (got[0][..., c] == unknown).any()
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -262,8 +263,8 @@ class TestEncodeInputs:
     def test_non_finite_feature_rejected(self, fraud_dataset, family):
         d = impute_missing(fraud_dataset)
         art = fit_preprocess(d, bins=6)
-        name = min(art.numeric.stats, key=lambda f: art.numeric.stats[f][1])
-        assert art.numeric.stats[name][1] < 1.0  # so the largest float overflows
+        name = min(art.stats, key=lambda f: art.stats[f][1])
+        assert art.stats[name][1] < 1.0  # so the largest float overflows
         d = with_cells(d, [12], name, float(np.finfo(np.float64).max))
         with pytest.raises(RangeError, match="feature matrix contains non-finite entries"):
             encode_inputs(make_windows(d, 5, 5), art, family)
@@ -611,6 +612,37 @@ class TestPresets:
         assert cfg.learning_rate == 5e-5
         assert cfg.batch_size == 8
         assert cfg.mlm_probability == 0.15
+
+    @staticmethod
+    def renamed(preset, old, new):
+        """``preset`` with key ``old`` spelt ``new``."""
+        preset = dict(preset)
+        preset[new] = preset.pop(old)
+        return preset
+
+    def test_misspelt_architecture_key_rejected(self):
+        preset = self.renamed(load_preset("fraud_tabbert"), "hidden_units", "hiden_units")
+        with pytest.raises(ConfigError, match=r"missing keys \['hidden_units'\], "
+                                              r"unknown keys \['hiden_units'\]"):
+            preset_model_spec(preset)
+
+    def test_misspelt_optimisation_key_rejected(self):
+        # read with defaults, these came back as mlm_probability=None, optimizer='adam'
+        preset = self.renamed(load_preset("fraud_tabbert"), "mlm_probability",
+                              "mlm_probabilty")
+        del preset["optimizer"]
+        with pytest.raises(ConfigError, match=r"missing keys \['mlm_probability', "
+                                              r"'optimizer'\], unknown keys "
+                                              r"\['mlm_probabilty'\]"):
+            preset_train_config(preset)
+
+    @pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "default_lightgbm"])
+    def test_transformer_presets_map(self, name):
+        preset = load_preset(name)
+        # every shipped transformer preset carries every key the mappings read
+        spec = preset_model_spec(preset, n=10, m=4, hidden=16, heads=2)
+        assert (spec.family, spec.dropout) == (preset["architecture"], preset["dropout"])
+        assert preset_train_config(preset).mlm_probability == preset["mlm_probability"]
 
     def test_preset_overrides(self):
         cfg = preset_train_config(load_preset("fraud_twintower"), epochs=2, seed=5)

@@ -51,11 +51,13 @@ class TestKNearestNeighbors:
         np.fill_diagonal(d2, np.inf)
         return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
-    @pytest.mark.parametrize("n, k", [(1, 3), (6, 5), (127, 4), (128, 5), (257, 5), (300, 9)])
-    def test_bit_equal_to_full_matrix(self, n, k):
+    @pytest.mark.parametrize("n, k, f", [(1, 3, 7), (6, 5, 7), (127, 4, 7), (128, 5, 7),
+                                         (257, 5, 7), (300, 9, 7), (300, 9, 60)],
+                             ids=["1-3", "6-5", "127-4", "128-5", "257-5", "300-9", "300-9-f60"])
+    def test_bit_equal_to_full_matrix(self, n, k, f):
         rng = np.random.default_rng(n)
-        flat = rng.standard_normal((n, 7))
-        flat[n // 2:] = flat[: n - n // 2]  # exact ties, across blocks when n > 128
+        flat = rng.standard_normal((n, f))
+        flat[n // 2:] = flat[: n - n // 2]  # exact ties, across blocks at f 60
         flat[::5] = np.round(flat[::5])
         got = k_nearest_neighbors(flat, k)
         assert got.dtype == np.intp
@@ -64,6 +66,18 @@ class TestKNearestNeighbors:
     def test_memory_stays_below_the_full_matrix(self):
         # the [n, n, F] differences alone take 1500² · 4 · 8 bytes, about 69 MiB
         flat = np.random.default_rng(3).standard_normal((1500, 4))
+        tracemalloc.start()
+        try:
+            k_nearest_neighbors(flat, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_memory_bounded_for_wide_rows(self):
+        # 10 rows x 6 fields: one fixed 128-row block of [128, n, F] float64
+        # differences alone would take 98 MB
+        flat = np.random.default_rng(4).standard_normal((1600, 60))
         tracemalloc.start()
         try:
             k_nearest_neighbors(flat, 5)
