@@ -154,6 +154,8 @@ class ExperimentConfig(JsonConfig):
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {tuple(TASKS)}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not self.arms:
             raise ConfigError("config declares no arms")
         names = [arm.name for arm in self.arms]

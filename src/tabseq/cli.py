@@ -206,9 +206,17 @@ def _print_arm_table(report: dict) -> None:
                   "rank metrics depend on stable input order")
 
 
+def _non_negative(text: str) -> int:
+    """An argparse type: a seed or a count, an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {value}")
+    return value
+
+
 _DATA_FLAGS = {
     "--artifact": {"required": True, "help": "preprocessing artifact JSON"},
-    "--seed": {"type": int, "default": bench.ExperimentConfig.seed},
+    "--seed": {"type": _non_negative, "default": bench.ExperimentConfig.seed},
     "--val-fraction": {"type": float, "default": bench.ExperimentConfig.val_fraction},
     "--test-fraction": {"type": float, "default": bench.ExperimentConfig.test_fraction},
     "--task": {"choices": tuple(TASKS), "default": bench.ExperimentConfig.task},
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("preprocess", help="fit quantizers/vocabulary/stats")
+    p = sub.add_parser("preprocess", help="fit bin edges, categories and stats")
     _add_data_args(p, "--seed", "--val-fraction", "--test-fraction")
     p.add_argument("--bins", type=int, default=bench.ExperimentConfig.bins)
     p.add_argument("--out", required=True, help="artifact JSON path")
@@ -256,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run all arms of an experiment config")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative, default=None)
     p.add_argument("--preset", default=None, help="preset override for every arm")
     p.add_argument("--upsample", choices=UPSAMPLE_METHODS, default=None)
     p.add_argument("--smote-k", type=int, default=None, dest="smote_k")
@@ -283,15 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="twin-tower mask ablation (both/time/feature)")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="grid/random hyperparameter search")
     p.add_argument("--config", required=True)
     p.add_argument("--grid", required=True, help="grid JSON: {param: [values]}")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--budget", type=_non_negative, default=None)
+    p.add_argument("--seed", type=_non_negative, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -65,7 +65,16 @@ class JsonConfig:
         return cls(**kwargs)
 
     def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+        """The JSON document ``from_json`` reads back: arrays as lists, enums as values."""
+        return _json(dataclasses.asdict(self))
+
+
+def _json(value):
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    return value.value if isinstance(value, enum.Enum) else value
 
 
 def _value(value, hint, where: str):

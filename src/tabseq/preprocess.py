@@ -7,8 +7,10 @@ Two encodings of a window are produced here:
 * ``FeatureMatrix`` -- every cell a float (numerical fields standardized,
   categorical fields label-encoded), for direct supervised models.
 
-Token ids are field-aware: each field owns a disjoint, dense id range after
-the four global specials (PAD=0, MASK=1, UNK=2, CLS=3).
+Both read the facts a ``PreprocessArtifact`` fits once. Token ids are
+field-aware: each field owns a disjoint, dense id range after the four global
+specials (PAD=0, MASK=1, UNK=2, CLS=3), and a category's label is its position
+in its field's range.
 """
 
 from __future__ import annotations
@@ -32,24 +34,9 @@ ARTIFACT_VERSION = 2
 ARTIFACT_KEYS = ("version", "schema", "edges", "stats", "categories")
 
 
-@dataclass(frozen=True)
-class Quantizer:
-    """Equal-frequency binning of one numerical field into ``len(edges) + 1`` bins."""
-
-    field: str
-    edges: tuple[float, ...]
-
-    @property
-    def bins(self) -> int:
-        return len(self.edges) + 1
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        return np.array(self.edges, dtype=np.float64)
-
-
-def fit_quantizer(d: Dataset, field_name: str, bins: int) -> Quantizer:
-    """Fit equal-frequency bin edges at quantiles j/bins, j = 1..bins-1.
+def fit_quantizer(d: Dataset, field_name: str, bins: int) -> tuple[float, ...]:
+    """Fit equal-frequency bin edges at quantiles j/bins, j = 1..bins-1; a
+    value's bin is the number of edges below it, one of ``len(edges) + 1``.
 
     Quantiles use the averaged-inverted-CDF convention (midpoint between
     order statistics when the quantile position is integral). Duplicate
@@ -66,7 +53,7 @@ def fit_quantizer(d: Dataset, field_name: str, bins: int) -> Quantizer:
     b = min(bins, len(np.unique(values)))
     edges = np.quantile(values, np.arange(1, b) / b, method="averaged_inverted_cdf") \
         if b > 1 else ()
-    return Quantizer(field_name, tuple(sorted(set(map(float, edges)))))
+    return tuple(sorted(set(map(float, edges))))
 
 
 def _present(col: Column) -> np.ndarray:
@@ -106,24 +93,14 @@ class Vocabulary:
         return N_SPECIALS + sum(f.size for f in self.fields)
 
     @cached_property
-    def _by_name(self) -> dict[str, FieldTokens]:
-        return {f.name: f for f in self.fields}
-
-    @cached_property
-    def field_names(self) -> frozenset[str]:
-        return frozenset(self._by_name)
+    def field_names(self) -> tuple[str, ...]:
+        return tuple(f.name for f in self.fields)
 
     @cached_property
     def category_tokens(self) -> dict[str, dict[str, int]]:
         """Per categorical field, {category: token}; absent categories encode as UNK."""
         return {ft.name: {c: ft.start + i for i, c in enumerate(ft.entries)}
                 for ft in self.fields if ft.kind is FieldKind.CATEGORICAL}
-
-    def field_tokens(self, name: str) -> FieldTokens:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ShapeError(f"field {name!r} not in vocabulary") from None
 
 
 @dataclass(frozen=True)
@@ -172,27 +149,27 @@ def encode_tokens(
     w: SequenceWindow,
     schema: Schema,
     vocab: Vocabulary,
-    quantizers: dict[str, Quantizer],
+    quantizers: dict[str, np.ndarray],
     keep_raw: bool = False,
 ) -> TokenGrid:
-    """Map every cell of a window to its token id: one ``searchsorted`` per
-    numerical field, one lookup per category of a categorical field.
+    """Map every cell of a window to its token id: one ``searchsorted`` of the
+    field's bin edges per numerical field, one lookup per category of a
+    categorical field.
 
     Missing cells in any field are reported before non-finite values.
     """
     feats = schema.feature_fields
     if schema.feature_names != vocab.field_names:
-        raise ShapeError("window schema does not match vocabulary fields")
+        raise ShapeError("vocabulary fields are not the schema's feature fields in order")
     cells = _feature_cells(w, schema)
     for spec, (col, x) in zip(feats, cells):
         if spec.kind is FieldKind.NUMERICAL and not col.finite:
             _check_quantizable(x)
     ids = np.empty((len(w.rows), len(feats)), dtype=np.int64)
     raw = np.zeros(ids.shape, dtype=np.float64) if keep_raw else None
-    for j, (spec, (col, x)) in enumerate(zip(feats, cells)):
+    for j, (spec, ft, (col, x)) in enumerate(zip(feats, vocab.fields, cells)):
         if spec.kind is FieldKind.NUMERICAL:
-            bins = quantizers[spec.name].edge_array.searchsorted(x, side="left")
-            ids[:, j] = bins + vocab.field_tokens(spec.name).start
+            ids[:, j] = quantizers[spec.name].searchsorted(x, side="left") + ft.start
             if raw is not None:
                 raw[:, j] = x
         else:
@@ -200,30 +177,21 @@ def encode_tokens(
     return TokenGrid(ids, raw)
 
 
-@dataclass(frozen=True)
-class NumericEncoder:
-    """The direct numeric encoding's tables: a numerical field's (mean, std), a
-    categorical field's labels, with the next integer for unseen categories."""
-
-    stats: dict  # field -> (mean, std)
-    label_tables: dict  # field -> {category: int}
-
-    def unknown_label(self, field_name: str) -> int:
-        return len(self.label_tables[field_name])
-
-
-def encode_numeric(w: SequenceWindow, schema: Schema, enc: NumericEncoder) -> FeatureMatrix:
-    """Standardize numerical cells and label-encode categorical cells: one
-    lookup per category, then ``(v - mean) / std`` over the whole window."""
-    feats = schema.feature_fields
-    x = np.empty((len(w.rows), len(feats)), dtype=np.float64)
+def encode_numeric(w: SequenceWindow, artifact: PreprocessArtifact) -> FeatureMatrix:
+    """Standardize numerical cells with the artifact's ``(mean, std)`` and label a
+    categorical cell by its category's position in the field's token range (the
+    range's size for an unseen category): one lookup per category, then
+    ``(v - mean) / std`` over the whole window."""
+    vocab = artifact.vocab
+    x = np.empty((len(w.rows), len(vocab.fields)), dtype=np.float64)
     stats = []
-    for j, (spec, (col, cells)) in enumerate(zip(feats, _feature_cells(w, schema))):
-        if spec.kind is FieldKind.NUMERICAL:
+    for j, (ft, (col, cells)) in enumerate(zip(vocab.fields, _feature_cells(w, artifact.schema))):
+        if ft.kind is FieldKind.NUMERICAL:
             x[:, j] = cells
-            stats.append(enc.stats[spec.name])
+            stats.append(artifact.stats[ft.name])
         else:
-            x[:, j] = col.lookup(enc.label_tables[spec.name], enc.unknown_label(spec.name))[cells]
+            tokens = col.lookup(vocab.category_tokens[ft.name], ft.start + ft.size)
+            x[:, j] = (tokens - ft.start)[cells]  # one label per category, then gathered
             stats.append((0.0, 1.0))  # (label - 0.0) / 1.0 is the label, exactly
     mean, std = np.array(stats, dtype=np.float64).T
     return FeatureMatrix(np.divide(x - mean, std, order="C"))
@@ -234,8 +202,8 @@ class PreprocessArtifact:
     """The encoding state shared by pretraining and fine-tuning runs: the schema
     and each feature field's fitted facts, held once. A numerical field has bin
     ``edges`` and ``(mean, std)`` ``stats``, a categorical field ``categories``
-    with the missing category last; the quantizers, the vocabulary and the
-    numeric encoder are derived from these, once per artifact."""
+    with the missing category last. Only the vocabulary and the edges as arrays
+    are derived from these, once per artifact."""
 
     schema: Schema
     edges: dict[str, tuple[float, ...]]
@@ -261,8 +229,9 @@ class PreprocessArtifact:
                                  f"with {MISSING_CATEGORY!r}")
 
     @cached_property
-    def quantizers(self) -> dict[str, Quantizer]:
-        return {name: Quantizer(name, e) for name, e in self.edges.items()}
+    def quantizers(self) -> dict[str, np.ndarray]:
+        """Each numerical field's bin edges as a float64 array to ``searchsorted``."""
+        return {name: np.array(e, dtype=np.float64) for name, e in self.edges.items()}
 
     @cached_property
     def vocab(self) -> Vocabulary:
@@ -274,16 +243,10 @@ class PreprocessArtifact:
             if spec.kind is FieldKind.CATEGORICAL:
                 entries = self.categories[spec.name]
             else:
-                entries = tuple(f"bin_{i}" for i in range(self.quantizers[spec.name].bins))
+                entries = tuple(f"bin_{i}" for i in range(len(self.edges[spec.name]) + 1))
             fields.append(FieldTokens(spec.name, spec.kind, start, entries))
             start += len(entries)
         return Vocabulary(tuple(fields))
-
-    @cached_property
-    def numeric(self) -> NumericEncoder:
-        """The stats, and each categorical field's categories labelled by position."""
-        return NumericEncoder(self.stats, {name: {c: i for i, c in enumerate(cats)}
-                                           for name, cats in self.categories.items()})
 
     def to_json(self) -> dict:
         return {"version": ARTIFACT_VERSION, "schema": self.schema.to_json(),
@@ -343,7 +306,7 @@ def fit_preprocess(d: Dataset, bins: int = 32) -> PreprocessArtifact:
         col = d.columns[d.schema.index_of(spec.name)]
         values = _present(col)
         if spec.kind is FieldKind.NUMERICAL:
-            edges[spec.name] = fit_quantizer(d, spec.name, bins).edges
+            edges[spec.name] = fit_quantizer(d, spec.name, bins)
             stats[spec.name] = (float(values.mean()), max(float(values.std()), STD_FLOOR)) \
                 if values.size else (0.0, STD_FLOOR)
         else:

@@ -80,8 +80,8 @@ class Schema(JsonConfig):
         return tuple(f for f in self.fields if f.name not in self.key_names)
 
     @cached_property
-    def feature_names(self) -> frozenset[str]:
-        return frozenset(f.name for f in self.feature_fields)
+    def feature_names(self) -> tuple[str, ...]:
+        return tuple(f.name for f in self.feature_fields)
 
     @cached_property
     def feature_columns(self) -> tuple[int, ...]:

@@ -66,6 +66,8 @@ class GenConfig(JsonConfig):
             raise ConfigError("noise_scale must be >= 0")
         if not 0.0 <= self.serial_correlation < 1.0:
             raise ConfigError("serial_correlation must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def _make_schema(cfg: GenConfig) -> Schema:

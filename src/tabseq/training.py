@@ -47,8 +47,12 @@ class TrainConfig(JsonConfig):
             raise ConfigError("learning rate must be >= 0")
         if self.optimizer != "adam":
             raise ConfigError(f"unsupported optimizer {self.optimizer!r}")
+        if self.batch_size < 1:
+            raise ConfigError("batch size must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.mlm_probability is not None and not 0.0 < self.mlm_probability < 1.0:
             raise ConfigError("MLM probability must lie in (0, 1)")
 
@@ -145,7 +149,7 @@ def encode_inputs(windows: list[SequenceWindow], artifact: PreprocessArtifact, f
     starts = np.fromiter((w.rows[0] for w in windows), np.int64, len(windows))
     block = SequenceWindow("", dataset, (starts[:, None] + np.arange(n)).reshape(-1))
     if not family.startswith("hierarchical"):
-        return (encode_numeric(block, artifact.schema, artifact.numeric).values.reshape(shape),)
+        return (encode_numeric(block, artifact).values.reshape(shape),)
     grid = encode_tokens(block, artifact.schema, artifact.vocab, artifact.quantizers,
                          family == "hierarchical_joint")
     return grid.ids.reshape(shape), None if grid.raw is None else grid.raw.reshape(shape)

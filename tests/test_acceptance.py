@@ -83,7 +83,7 @@ def _prepare(gen: GenConfig, window: int, stride: int, seed: int, token=False,
             return np.stack([g.ids for g in grids])
     else:
         def enc(ws):
-            return np.stack([encode_numeric(w, d.schema, art.numeric).values
+            return np.stack([encode_numeric(w, art).values
                              for w in ws])
 
     def labels(ws):

@@ -736,6 +736,47 @@ class TestCli:
                      "--out", str(tmp_path / "pre.ckpt")]) == 0
         assert f"pretrained hierarchical on {len(train_w)} windows;" in capsys.readouterr().out
 
+    def test_negative_generator_seed_is_config_error(self, pipeline, tmp_path, capsys):
+        root, _, _ = pipeline
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps({**json.loads((root / "gen.json").read_text()), "seed": -1}))
+        assert main(["generate", "--config", str(gen), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, train, message", [
+        ({"seed": -1}, {}, "seed must be >= 0"),
+        ({}, {"batch_size": 0}, "batch size must be >= 1 (arm 'vanilla')"),
+        ({}, {"batch_size": -1}, "batch size must be >= 1 (arm 'vanilla')"),
+    ], ids=["experiment-seed", "zero-batch", "negative-batch"])
+    def test_malformed_experiment_is_config_error(self, overrides, train, message, pipeline,
+                                                  tmp_path, capsys):
+        _, data_dir, _ = pipeline
+        cfg = csv_config(data_dir, 0, **overrides)
+        cfg["arms"][0]["train"].update(train)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run" / "preprocess.json").exists()  # before any arm runs
+
+    @pytest.mark.parametrize("command, flag", [("preprocess", "--seed"), ("train", "--seed"),
+                                               ("sweep", "--seed"), ("sweep", "--budget")])
+    def test_negative_seed_or_budget_flag_rejected(self, command, flag, pipeline, tmp_path,
+                                                   capsys):
+        root, data_dir, _ = pipeline
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(csv_config(data_dir, 0)))
+        args = {"preprocess": ["--data", str(data_dir / "data.csv"),
+                               "--schema", str(data_dir / "schema.json")],
+                "train": ["--config", str(cfg_path)],
+                "sweep": ["--config", str(cfg_path), "--grid", str(root / "grid.json")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, flag, "-1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be an integer >= 0, not -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("generate", "--config"), ("preprocess", "--schema"), ("pretrain", "--artifact"),
         ("pretrain", "--schema"), ("train", "--config"), ("finetune", "--artifact"),

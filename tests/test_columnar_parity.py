@@ -168,11 +168,12 @@ def oracle_encode(schema, rows, art, family):
         x = np.array(x, dtype=np.float64).reshape(m, n)
         return (np.divide(x.T - mean, std, order="C"),)
     tokens, raw = [], np.zeros((n, m), dtype=np.float64)
+    starts = {ft.name: ft.start for ft in art.vocab.fields}
     for j, (spec, col) in enumerate(zip(feats, cells)):
         if spec.kind is FieldKind.NUMERICAL:
             v = np.array(col, dtype=np.float64)
-            tokens.append(art.quantizers[spec.name].edge_array.searchsorted(v, side="left")
-                          + art.vocab.field_tokens(spec.name).start)
+            tokens.append(np.searchsorted(art.edges[spec.name], v, side="left")
+                          + starts[spec.name])
             raw[:, j] = v
         else:
             table = art.vocab.category_tokens[spec.name]
@@ -276,9 +277,10 @@ def test_columnar_path_matches_per_row_oracle(tmp_path_factory, case, n, stride,
     entities = set(fit_on.entities)
     assert fit_on.records == tuple(r for r in want if r.entity in entities)
     art = fit_preprocess(fit_on, bins=bins)
+    entries = {ft.name: ft.entries for ft in art.vocab.fields}
     for name, fitted in oracle_fit(schema, fit_on.records, bins).items():
         if isinstance(fitted[0], str):
-            assert art.vocab.field_tokens(name).entries == fitted
+            assert entries[name] == fitted
         else:
             assert (art.edges[name], art.stats[name]) == fitted
     rows = tuple(r for _, _, block in expected for r in block)

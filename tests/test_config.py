@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import json_values, mutated
+from conftest import json_values, mutated, small_schema
 from tabseq.bench import ArmConfig, ExperimentConfig
 from tabseq.errors import ConfigError, TabseqError
 from tabseq.models import ModelSpec
@@ -69,6 +69,30 @@ class TestTypedFields:
         doc = readme_heredoc("exp.json")
         exp = ExperimentConfig.from_json(doc)
         assert ExperimentConfig.from_json(exp.to_json()) == exp
+
+    @pytest.mark.parametrize("config", [
+        small_schema(nullable=True),
+        GenConfig(categorical_cardinalities=(2, 3), seed=7),
+        ModelSpec("hierarchical", n=4, m=3, hidden=8, heads=2, head="mlm"),
+        TrainConfig(mlm_probability=0.2, patience=None),
+        ExperimentConfig.from_json(readme_heredoc("exp.json")),
+    ], ids=lambda c: type(c).__name__)
+    def test_to_json_is_the_document_from_json_reads(self, config):
+        # lists, not tuples, and enum values, not members: what JSON gives back
+        doc = config.to_json()
+        assert doc == json.loads(json.dumps(doc))
+        assert type(config).from_json(doc) == config
+
+    @pytest.mark.parametrize("cls, doc, match", [
+        (GenConfig, {"seed": -1}, "seed must be >= 0"),
+        (TrainConfig, {"seed": -1}, "seed must be >= 0"),
+        (TrainConfig, {"batch_size": 0}, "batch size must be >= 1"),
+        (TrainConfig, {"batch_size": -32}, "batch size must be >= 1"),
+        (ExperimentConfig, {**readme_heredoc("exp.json"), "seed": -1}, "seed must be >= 0"),
+    ])
+    def test_negative_seed_and_empty_batch_rejected(self, cls, doc, match):
+        with pytest.raises(ConfigError, match=match):
+            cls.from_json(doc)
 
 
 def _experiment_docs():

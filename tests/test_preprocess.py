@@ -19,7 +19,6 @@ from tabseq.preprocess import (
     UNK,
     FieldTokens,
     PreprocessArtifact,
-    Quantizer,
     Vocabulary,
     encode_numeric,
     encode_tokens,
@@ -41,16 +40,16 @@ from tabseq.schema import (
 # Per-cell references for the oracle tests: the bin and token lookups that
 # encode_tokens performs for a whole window, written for one cell, and the
 # inverse token lookup.
-def apply_quantizer(q, v):
+def apply_quantizer(edges, v):
     """Bin id of v under half-open bins (-inf, e1], (e1, e2], ..., (e_{B-1}, inf)."""
     if not np.isfinite(v):
         raise RangeError(f"cannot quantize non-finite value {v!r}")
-    return int(q.edge_array.searchsorted(v, side="left"))
+    return int(np.searchsorted(np.asarray(edges, dtype=np.float64), v, side="left"))
 
 
 def encode_cell(vocab, field_name, value):
     """Token of a category, or of a bin id for a numerical field."""
-    ft = vocab.field_tokens(field_name)
+    (ft,) = [f for f in vocab.fields if f.name == field_name]
     if ft.kind is FieldKind.CATEGORICAL:
         return vocab.category_tokens[field_name].get(value, UNK)
     return ft.start + int(value)
@@ -76,59 +75,54 @@ def amounts_dataset(values, channels=None):
 
 class TestQuantizer:
     def test_midpoint_edges(self):
-        q = fit_quantizer(amounts_dataset([1, 2, 3, 4]), "amount", 2)
-        assert q.edges == (2.5,)
+        assert fit_quantizer(amounts_dataset([1, 2, 3, 4]), "amount", 2) == (2.5,)
 
     def test_edges_against_quantile_oracle(self):
         rng = np.random.default_rng(3)
         values = rng.standard_normal(200)
-        q = fit_quantizer(amounts_dataset(values), "amount", 8)
+        edges = fit_quantizer(amounts_dataset(values), "amount", 8)
         oracle = np.quantile(values, np.arange(1, 8) / 8, method="averaged_inverted_cdf")
-        assert np.allclose(q.edges, oracle)
+        assert np.allclose(edges, oracle)
 
     def test_single_bin(self):
-        q = fit_quantizer(amounts_dataset([1, 2, 3]), "amount", 1)
-        assert q.edges == () and q.bins == 1
+        assert fit_quantizer(amounts_dataset([1, 2, 3]), "amount", 1) == ()
 
     def test_constant_values_collapse(self):
-        q = fit_quantizer(amounts_dataset([7, 7, 7, 7]), "amount", 3)
-        assert q.bins == 1
+        assert fit_quantizer(amounts_dataset([7, 7, 7, 7]), "amount", 3) == ()
 
     def test_categorical_field_rejected(self):
         with pytest.raises(FieldKindError):
             fit_quantizer(amounts_dataset([1, 2]), "channel", 2)
 
     def test_apply_boundary_rule(self):
-        q = Quantizer("amount", (2.5,))
-        assert apply_quantizer(q, 3.0) == 1
-        assert apply_quantizer(q, 2.5) == 0
+        assert apply_quantizer((2.5,), 3.0) == 1
+        assert apply_quantizer((2.5,), 2.5) == 0
 
     def test_apply_out_of_range_clamps(self):
-        q = Quantizer("amount", (10.0, 20.0))
-        assert apply_quantizer(q, -999.0) == 0
-        assert apply_quantizer(q, 999.0) == 2
+        assert apply_quantizer((10.0, 20.0), -999.0) == 0
+        assert apply_quantizer((10.0, 20.0), 999.0) == 2
 
     def test_apply_non_finite_rejected(self):
         with pytest.raises(RangeError):
-            apply_quantizer(Quantizer("amount", (0.0,)), float("nan"))
+            apply_quantizer((0.0,), float("nan"))
 
     def test_equal_frequency_split(self):
         # distinct values, bin count dividing the sample size: equal bin loads
         rng = np.random.default_rng(5)
         values = rng.permutation(np.arange(64, dtype=np.float64))
-        q = fit_quantizer(amounts_dataset(values), "amount", 8)
-        bins = [apply_quantizer(q, v) for v in values]
+        edges = fit_quantizer(amounts_dataset(values), "amount", 8)
+        bins = [apply_quantizer(edges, v) for v in values]
         assert np.bincount(bins, minlength=8).tolist() == [8] * 8
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=60, unique=True),
            st.integers(1, 10))
     @settings(max_examples=50, deadline=None)
     def test_apply_monotone(self, values, bins):
-        q = fit_quantizer(amounts_dataset(values), "amount", bins)
+        edges = fit_quantizer(amounts_dataset(values), "amount", bins)
         probe = sorted(values) + [min(values) - 1, max(values) + 1]
-        got = [apply_quantizer(q, v) for v in sorted(probe)]
+        got = [apply_quantizer(edges, v) for v in sorted(probe)]
         assert got == sorted(got)
-        assert all(0 <= b < q.bins for b in got)
+        assert all(0 <= b < len(edges) + 1 for b in got)
 
 
 class TestVocabulary:
@@ -216,45 +210,53 @@ class TestEncodeTokens:
         with pytest.raises(ShapeError):
             encode_tokens(window, other.schema, wrong, {})
 
+    def test_vocabulary_in_another_field_order_rejected(self):
+        # the models read a vocabulary's fields by column position, so the
+        # schema's feature fields in another order would be misread
+        reordered = Vocabulary(tuple(reversed(self.art.vocab.fields)))
+        assert set(reordered.field_names) == set(self.d.schema.feature_names)
+        with pytest.raises(ShapeError, match="in order"):
+            encode_tokens(self.window, self.d.schema, reordered, self.art.quantizers)
+
 
 class TestEncodeNumeric:
     def test_standardization(self):
         d = amounts_dataset([8, 10, 12])  # mean 10, std sqrt(8/3)
-        enc = fit_preprocess(d).numeric
-        mean, std = enc.stats["amount"]
+        art = fit_preprocess(d)
+        mean, std = art.stats["amount"]
         w = make_windows(d, 3, 1)[0]
-        fm = encode_numeric(w, d.schema, enc)
+        fm = encode_numeric(w, art)
         assert fm.values[:, 0] == pytest.approx([(v - mean) / std for v in (8, 10, 12)])
 
     def test_constant_field_floors_std(self):
         d = amounts_dataset([5, 5, 5])
-        enc = fit_preprocess(d).numeric
+        art = fit_preprocess(d)
         w = make_windows(d, 3, 1)[0]
-        fm = encode_numeric(w, d.schema, enc)
+        fm = encode_numeric(w, art)
         assert (fm.values[:, 0] == 0.0).all()
 
     def test_label_encoding(self):
         d = amounts_dataset([1, 2, 3], ["C", "A", "B"])
-        enc = fit_preprocess(d).numeric
+        art = fit_preprocess(d)
         w = make_windows(d, 3, 1)[0]
-        fm = encode_numeric(w, d.schema, enc)
+        fm = encode_numeric(w, art)
         # categories sorted: A=0, B=1, C=2
         assert fm.values[:, 1].tolist() == [2.0, 0.0, 1.0]
 
     def test_unseen_category_reserved_integer(self):
         d = amounts_dataset([1, 2], ["A", "B"])
-        enc = fit_preprocess(d).numeric
+        art = fit_preprocess(d)
         w2 = make_windows(amounts_dataset([1, 2], ["A", "ZZZ"]), 2, 1)[0]
-        fm = encode_numeric(w2, d.schema, enc)
-        assert fm.values[1, 1] == enc.unknown_label("channel")
+        fm = encode_numeric(w2, art)
+        assert fm.values[1, 1] == len(art.categories["channel"])
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_output_always_finite(self, values):
         d = amounts_dataset(values)
-        enc = fit_preprocess(d).numeric
+        art = fit_preprocess(d)
         w = make_windows(d, len(values), 1)[0]
-        fm = encode_numeric(w, d.schema, enc)
+        fm = encode_numeric(w, art)
         assert np.all(np.isfinite(fm.values))
 
 
@@ -277,7 +279,7 @@ def test_encoders_reject_another_schemas_dataset(fraud_dataset, kinds):
                                    tuple(d.columns[k] for k in order))
     w = make_windows(swapped, 5, 5)[0]
     with pytest.raises(SchemaMismatch):
-        encode_numeric(w, art.schema, art.numeric)
+        encode_numeric(w, art)
     with pytest.raises(SchemaMismatch):
         encode_tokens(w, art.schema, art.vocab, art.quantizers)
 
@@ -320,8 +322,9 @@ class TestArtifact:
         # each access would grow that cache on every encoder call
         art = fit_preprocess(impute_missing(fraud_dataset), bins=4)
         assert art.vocab is art.vocab and art.quantizers is art.quantizers
-        assert art.numeric is art.numeric
-        assert art.numeric.stats is art.stats
+        assert art.vocab.category_tokens is art.vocab.category_tokens
+        assert art.vocab.field_names is art.vocab.field_names
+        assert art.schema.feature_names is art.schema.feature_names
 
     # each edit makes a document that states a fact twice, leaves one out, or
     # breaks a check; the version-1 keys are among them
@@ -403,7 +406,7 @@ def oracle_artifact(edges, stats):
         tables.append(FieldTokens(spec.name, spec.kind, start, entries))
         start += len(entries)
     assert art.vocab == Vocabulary(tuple(tables))
-    return art.quantizers, art.vocab, art.numeric
+    return art
 
 
 def oracle_window(rows):
@@ -438,7 +441,8 @@ class TestEncoderOracle:
     @settings(max_examples=200, deadline=None)
     def test_matches_per_cell_reference(self, case):
         edges, stats, rows, keep_raw = case
-        quantizers, vocab, enc = oracle_artifact(edges, stats)
+        art = oracle_artifact(edges, stats)
+        quantizers, vocab = art.quantizers, art.vocab
         w = oracle_window(rows)
         starts = {ft.name: ft.start for ft in vocab.fields}
         entries = {ft.name: ft.entries for ft in vocab.fields}
@@ -463,19 +467,18 @@ class TestEncoderOracle:
         g = encode_tokens(w, ORACLE_SCHEMA, vocab, quantizers, keep_raw=keep_raw)
         assert np.array_equal(g.ids, want_ids)
         assert np.array_equal(g.raw, want_raw) if keep_raw else g.raw is None
-        assert np.array_equal(encode_numeric(w, ORACLE_SCHEMA, enc).values, want_x)
+        assert np.array_equal(encode_numeric(w, art).values, want_x)
         for f in feats:  # the per-cell helpers read the same tables
             for r in rows:
                 cell = r[f] if f in KNOWN else apply_quantizer(quantizers[f], r[f])
                 assert encode_cell(vocab, f, cell) == token(f, r[f])
 
     def encode_both(self, row):
-        quantizers, vocab, enc = oracle_artifact({"x": [0.0], "y": []},
-                                                 {"x": (0.0, 1.0), "y": (0.0, 1.0)})
+        art = oracle_artifact({"x": [0.0], "y": []}, {"x": (0.0, 1.0), "y": (0.0, 1.0)})
         good = {"x": 1.0, "c": "a", "y": 2.0, "d": "p"}
         w = oracle_window([good, {**good, **row}])
-        yield lambda: encode_tokens(w, ORACLE_SCHEMA, vocab, quantizers)
-        yield lambda: encode_numeric(w, ORACLE_SCHEMA, enc)
+        yield lambda: encode_tokens(w, ORACLE_SCHEMA, art.vocab, art.quantizers)
+        yield lambda: encode_numeric(w, art)
 
     @pytest.mark.parametrize("field_name", ["x", "c"])
     def test_missing_cell_rejected(self, field_name):

@@ -184,14 +184,14 @@ class TestEncodeInputs:
         art = fit_preprocess(d, bins=6)
         windows = make_windows(d, 5, 5)
         (x,) = encode_inputs(windows, art, family)
-        assert np.array_equal(x, np.stack([encode_numeric(w, d.schema, art.numeric).values
+        assert np.array_equal(x, np.stack([encode_numeric(w, art).values
                                            for w in windows]))
 
     @staticmethod
     def per_window(windows, art, family):
         """The reference: one single-window encoder call per window, stacked."""
         if not family.startswith("hierarchical"):
-            return (np.stack([encode_numeric(w, art.schema, art.numeric).values
+            return (np.stack([encode_numeric(w, art).values
                               for w in windows]),)
         joint = family == "hierarchical_joint"
         grids = [encode_tokens(w, art.schema, art.vocab, art.quantizers, joint)
