@@ -19,6 +19,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,15 +33,14 @@ from .synthgen import GenConfig, generate_fraud_dataset, generate_regression_dat
 from .training import (
     TASKS,
     TrainConfig,
+    TransformerPreset,
     encode_inputs,
     evaluate_scores,
     fine_tune,
     index_inputs,
     load_transformer_preset,
     predict_scores,
-    preset_model_spec,
     pretrain_mlm,
-    preset_train_config,
     require_partitions,
     save_model,
     split_entities,
@@ -130,11 +130,16 @@ class ArmConfig(JsonConfig):
         given = {"k": self.smote_k, "target_ratio": self.target_ratio}
         return SmoteConfig(seed=seed, **{k: v for k, v in given.items() if v is not None})
 
+    @cached_property
+    def transformer_preset(self) -> TransformerPreset | None:
+        """The arm's preset, parsed once; None when the arm names none."""
+        return load_transformer_preset(self.preset) if self.preset is not None else None
+
     @property
     def architecture(self) -> str:
-        """The arm's family, else its preset's; loading the preset checks its name."""
-        preset = load_transformer_preset(self.preset) if self.preset is not None else {}
-        return self.family if self.family is not None else preset["architecture"]
+        """The arm's family, else its preset's; a named preset is parsed either way."""
+        preset = self.transformer_preset
+        return self.family if self.family is not None else preset.architecture
 
 
 @dataclass(frozen=True)
@@ -195,15 +200,13 @@ def _arm_configs(arm: ArmConfig, index: int, exp: ExperimentConfig, artifact: Pr
     """The arm's ModelSpec and TrainConfig: its preset's values, overridden by its
     blocks, then by the window shape, the task head and (unless set) the arm seed;
     and, for a hierarchical family, the TrainConfig of its pretraining (else None)."""
-    model = {"family": arm.architecture, **arm.model, "n": exp.window_size,
-             "m": artifact.schema.n_features, "head": TASKS[exp.task][1]}
-    train = {"seed": _arm_seed(exp.seed, index), **arm.train}
+    preset = arm.transformer_preset
+    model = {**(preset.model if preset else {}), "family": arm.architecture, **arm.model,
+             "n": exp.window_size, "m": artifact.schema.n_features, "head": TASKS[exp.task][1]}
+    train = {**(preset.train if preset else {}), "seed": _arm_seed(exp.seed, index),
+             **arm.train}
     try:
-        if arm.preset is None:
-            spec, tcfg = ModelSpec.from_json(model), TrainConfig.from_json(train)
-        else:
-            preset = load_transformer_preset(arm.preset)
-            spec, tcfg = preset_model_spec(preset, **model), preset_train_config(preset, **train)
+        spec, tcfg = ModelSpec.from_json(model), TrainConfig.from_json(train)
         if not spec.family.startswith("hierarchical"):
             return spec, tcfg, None
         pre = arm.pretrain or PretrainConfig()
@@ -322,6 +325,29 @@ def run_experiment(cfg: dict, out_dir) -> dict:
     return report
 
 
+def read_report(path) -> dict:
+    """The experiment report at ``path``. A ``ConfigError`` names the file unless each
+    arm of ``deterministic.arms`` holds every metric and ``attn_pairs``, and
+    ``timing.arm_seconds`` is an object: each a number or null, which renders as NaN."""
+    report = read_json(path)
+    try:
+        arms, seconds = report["deterministic"]["arms"], report["timing"]["arm_seconds"]
+        cells = [(name, key, res[key]) for name, res in arms.items()
+                 for key in (*METRIC_KEYS, "attn_pairs")]
+        cells += [(name, "seconds", seconds.get(name)) for name in arms]
+    except (KeyError, TypeError, AttributeError):
+        raise ConfigError(f"{path}: not a report of arms and their metrics") from None
+    for name, key, value in cells:
+        if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
+            raise ConfigError(f"{path}: arm {name!r}: {key!r} must be a number or null, "
+                              f"not {value!r}")
+    return report
+
+
+def _float(value) -> float:
+    return float("nan") if value is None else float(value)
+
+
 def write_report(report: dict, out_dir) -> None:
     write_json(os.path.join(out_dir, "report.json"), report)
     path = os.path.join(out_dir, "metrics.csv")
@@ -332,9 +358,9 @@ def write_report(report: dict, out_dir) -> None:
         for name, res in report["deterministic"]["arms"].items():
             writer.writerow([
                 name,
-                *(repr(float(res[k])) for k in METRIC_KEYS),
+                *(repr(_float(res[k])) for k in METRIC_KEYS),
                 res["attn_pairs"],
-                f"{timing.get(name, float('nan')):.3f}",
+                f"{_float(timing.get(name)):.3f}",
             ])
 
 
@@ -369,8 +395,13 @@ def sweep(cfg: dict, grid: dict, out_dir, budget: int | None = None) -> dict:
     ``out_dir``; selects the point with the best validation metric and
     reports that point's test metrics in sweep_report.json."""
     exp = ExperimentConfig.from_json(cfg)
-    if not grid:
-        raise ConfigError("sweep needs a non-empty grid")
+    if not isinstance(grid, dict) or not grid:
+        raise ConfigError(f"sweep grid must be a non-empty JSON object, not {grid!r}")
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep grid key {key!r} must be a non-empty array, not {values!r}")
+    if budget is not None and budget < 1:
+        raise ConfigError(f"sweep budget must be >= 1, not {budget}")
     base = exp.arms[0]
     model_keys = {f.name for f in fields(ModelSpec)}
     points = _grid_points(grid, budget, exp.seed)

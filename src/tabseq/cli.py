@@ -17,7 +17,7 @@ import numpy as np
 from . import bench
 from .config import output_to, read_json, write_json
 from .errors import ConfigError, SchemaMismatch, TabseqError
-from .models import TOWER_MASKS, build_model
+from .models import TOWER_MASKS, ModelSpec, build_model
 from .preprocess import PreprocessArtifact, fit_preprocess
 from .schema import Dataset, Schema, impute_missing, load_csv, make_windows, save_csv
 from .synthgen import GenConfig, generate_fraud_dataset, generate_regression_dataset
@@ -28,8 +28,6 @@ from .training import (
     evaluate_scores,
     load_transformer_preset,
     predict_scores,
-    preset_model_spec,
-    preset_train_config,
     pretrain_mlm,
     require_partitions,
     restore_model,
@@ -85,13 +83,14 @@ def cmd_pretrain(args) -> int:
     preset = load_transformer_preset(args.preset)
     artifact = PreprocessArtifact.load(args.artifact)
     sizes = {k: v for k, v in (("hidden", args.hidden), ("heads", args.heads)) if v is not None}
-    spec = preset_model_spec(preset, n=args.window, m=artifact.schema.n_features,
-                             head="mlm", **sizes)
+    spec = ModelSpec.from_json({**preset.model, **sizes, "n": args.window,
+                                "m": artifact.schema.n_features, "head": "mlm"})
     # label-free, and on the train entities only: no validation or test row is seen
     train_w, _, _ = splits = _entity_splits(args, artifact, "none")
     require_partitions(splits[:1])
     ids, raw = encode_inputs(train_w, artifact, spec.family)
-    cfg = preset_train_config(preset, seed=args.seed, epochs=args.epochs, patience=None)
+    cfg = TrainConfig.from_json({**preset.train, "seed": args.seed, "epochs": args.epochs,
+                                 "patience": None})
     model = build_model(spec, seed=args.seed, vocab=artifact.vocab)
     model, history = pretrain_mlm(model, ids, raw, cfg)
     save_model(args.out, model, artifact, args.seed)
@@ -180,7 +179,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = read_json(args.report)
+    report = bench.read_report(args.report)
     _print_arm_table(report)
     if args.out:
         bench.write_report(report, args.out)

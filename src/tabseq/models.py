@@ -290,8 +290,7 @@ class HierarchicalModel(Module):
                                   mask=mask, train=train, rng=rng)
         reps = cells + T.reshape(rows, (rows.shape[0], rows.shape[1], 1, rows.shape[2]))
 
-        ce_terms, ce_counts = [], []
-        mse_terms, mse_counts = [], []
+        ce_terms, mse_terms = [], []  # (loss term, masked cells) per field
         for j, ft in enumerate(self.vocab.fields):
             rows_j, cols_j = np.nonzero(mask[:, :, j])
             if len(rows_j) == 0:
@@ -300,27 +299,28 @@ class HierarchicalModel(Module):
             out = self.mlm_heads[j](picked)
             if self.joint and ft.kind is FieldKind.NUMERICAL:
                 target = raw[rows_j, cols_j, j]
-                mse_terms.append(T.mse(T.reshape(out, (len(rows_j),)), Tensor(target)))
-                mse_counts.append(len(rows_j))
+                mse_terms.append((T.mse(T.reshape(out, (len(rows_j),)), Tensor(target)),
+                                  len(rows_j)))
             else:
                 local = targets[rows_j, cols_j, j] - ft.start
                 if local.min() < 0 or local.max() >= ft.size:
                     raise ShapeError(f"target token outside field range for {ft.name!r}")
-                ce_terms.append(T.cross_entropy(out, local))
-                ce_counts.append(len(rows_j))
+                ce_terms.append((T.cross_entropy(out, local), len(rows_j)))
 
-        loss = Tensor(0.0)
-        if ce_terms:
-            total = sum(ce_counts)
-            for term, cnt in zip(ce_terms, ce_counts):
-                loss = loss + term * (cnt / total)
+        loss = _weighted_mean(ce_terms)
         if mse_terms:
-            total = sum(mse_counts)
-            weighted = Tensor(0.0)
-            for term, cnt in zip(mse_terms, mse_counts):
-                weighted = weighted + term * (cnt / total)
-            loss = loss + self.spec.mlm_lambda * weighted
+            loss = loss + self.spec.mlm_lambda * _weighted_mean(mse_terms)
         return loss
+
+
+def _weighted_mean(terms) -> Tensor:
+    """``Tensor(0.0) + Σ term·(count/total)`` over the ``(term, count)`` pairs, in
+    order; no pair gives ``Tensor(0.0)``."""
+    total = sum(count for _, count in terms)
+    loss = Tensor(0.0)
+    for term, count in terms:
+        loss = loss + term * (count / total)
+    return loss
 
 
 def build_model(spec: ModelSpec, seed: int, vocab: Vocabulary | None = None):

@@ -410,50 +410,40 @@ def load_preset(name: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def load_transformer_preset(name: str) -> dict:
-    """Load a shipped preset that configures one of the transformer families."""
+@dataclass(frozen=True)
+class TransformerPreset(JsonConfig):
+    """A shipped preset of a transformer family, in the paper's key names. ``model``
+    and ``train`` are the ModelSpec and TrainConfig keys it sets; no entry point
+    applies its window size, stride and seed (the paper's values)."""
+
+    name: str
+    architecture: str
+    hidden_units: int
+    attention_heads: int
+    dropout: float
+    learning_rate: float
+    optimizer: str
+    batch_size: int
+    mlm_probability: float | None
+    window_size: int
+    stride: int | None = None
+    seed: int | None = None
+
+    @property
+    def model(self) -> dict:
+        return {"family": self.architecture, "hidden": self.hidden_units,
+                "heads": self.attention_heads, "dropout": self.dropout}
+
+    @property
+    def train(self) -> dict:
+        return {"learning_rate": self.learning_rate, "optimizer": self.optimizer.lower(),
+                "batch_size": self.batch_size, "mlm_probability": self.mlm_probability}
+
+
+def load_transformer_preset(name: str) -> TransformerPreset:
+    """Parse a shipped preset that configures one of the transformer families."""
     preset = load_preset(name)
     if "architecture" not in preset:
         raise ConfigError(f"preset {name!r} configures {preset.get('model')!r}, "
                           "not a transformer family")
-    return preset
-
-
-# every transformer preset's keys; a preset may also give a "stride" and a "seed"
-PRESET_KEYS = {"name", "architecture", "hidden_units", "attention_heads", "dropout",
-               "learning_rate", "optimizer", "batch_size", "mlm_probability", "window_size"}
-
-
-def _transformer_preset(preset: dict) -> dict:
-    """``preset``, once no key of PRESET_KEYS is missing from it and no other key is in it."""
-    missing, unknown = PRESET_KEYS - set(preset), set(preset) - PRESET_KEYS - {"stride", "seed"}
-    if missing or unknown:
-        raise ConfigError(f"preset {preset.get('name')!r}: missing keys {sorted(missing)}, "
-                          f"unknown keys {sorted(unknown)}")
-    return preset
-
-
-def preset_train_config(preset: dict, **overrides) -> TrainConfig:
-    """Map a preset document's optimisation fields onto a TrainConfig; no entry
-    point applies its window size, stride and seed (the paper's values)."""
-    preset = _transformer_preset(preset)
-    return TrainConfig.from_json({
-        "learning_rate": preset["learning_rate"],
-        "optimizer": str(preset["optimizer"]).lower(),
-        "batch_size": preset["batch_size"],
-        "mlm_probability": preset["mlm_probability"],
-        **overrides,
-    })
-
-
-def preset_model_spec(preset: dict, **overrides) -> ModelSpec:
-    """Map a preset document's architecture fields onto a ModelSpec; the
-    window shape and the head come from the data and the task."""
-    preset = _transformer_preset(preset)
-    return ModelSpec.from_json({
-        "family": preset["architecture"],
-        "hidden": preset["hidden_units"],
-        "heads": preset["attention_heads"],
-        "dropout": preset["dropout"],
-        **overrides,
-    })
+    return TransformerPreset.from_json(preset, f"preset {name!r}")

@@ -18,6 +18,7 @@ from tabseq.bench import (
     METRIC_KEYS,
     ArmConfig,
     ExperimentConfig,
+    _arm_configs,
     _arm_seed,
     _upsample_training_data,
     ablate_towers,
@@ -26,7 +27,7 @@ from tabseq.bench import (
     sweep,
     write_report,
 )
-from tabseq import cli
+from tabseq import bench, cli
 from tabseq.cli import main
 from tabseq.errors import ConfigError
 from tabseq.models import ModelSpec, expected_attention_pairs
@@ -43,6 +44,7 @@ from tabseq.schema import (
 )
 from tabseq.synthgen import GenConfig, generate_fraud_dataset
 from tabseq.training import (
+    TrainConfig,
     TrainHistory,
     encode_inputs,
     evaluate_scores,
@@ -223,6 +225,49 @@ class TestArmConfig:
     def test_arm_seeds_distinct(self):
         seeds = {_arm_seed(base, index) for base in range(20) for index in range(20)}
         assert len(seeds) == 400
+
+    # each shipped transformer preset as an arm of base_config (window 5, 5 features,
+    # seed 3) and the ModelSpec, TrainConfig and pretraining TrainConfig it resolves to
+    SEED = 819382448  # _arm_seed(3, 0)
+    HIER = dict(n=5, m=5, hidden=768, heads=12, dropout=0.1)
+    RESOLVED = {
+        "fraud_tabbert": (
+            ModelSpec(family="hierarchical", **HIER),
+            TrainConfig(learning_rate=5e-5, batch_size=8, mlm_probability=0.15, seed=SEED),
+            TrainConfig(learning_rate=5e-5, batch_size=8, epochs=3, mlm_probability=0.15,
+                        seed=SEED, patience=None)),
+        "fraud_twintower": (
+            ModelSpec(family="twin_tower", n=5, m=5, hidden=256, heads=8, dropout=0.134),
+            TrainConfig(learning_rate=4.35e-5, batch_size=256, seed=SEED), None),
+        "fraud_luna": (
+            ModelSpec(family="hierarchical_joint", **HIER),
+            TrainConfig(learning_rate=5e-5, batch_size=8, mlm_probability=0.15, seed=SEED),
+            TrainConfig(learning_rate=5e-5, batch_size=8, epochs=3, mlm_probability=0.15,
+                        seed=SEED, patience=None)),
+        "default_tabbert": (
+            ModelSpec(family="hierarchical", **HIER),
+            TrainConfig(learning_rate=0.01, batch_size=16, mlm_probability=0.15, seed=SEED),
+            TrainConfig(learning_rate=0.01, batch_size=16, epochs=3, mlm_probability=0.15,
+                        seed=SEED, patience=None)),
+        # 512 hidden units do not split into the preset's 12 heads
+        "default_twintower": (
+            ModelSpec(family="twin_tower", n=5, m=5, hidden=512, heads=8, dropout=0.1),
+            TrainConfig(learning_rate=1e-4, batch_size=512, seed=SEED), None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RESOLVED))
+    def test_preset_arm_resolves(self, name, monkeypatch):
+        arm = {"name": "p", "preset": name}
+        if name == "default_twintower":
+            arm["model"] = {"heads": 8}
+        exp = ExperimentConfig.from_json(base_config(arms=[arm]))
+        _, artifact = prepare(exp)
+        assert _arm_seed(exp.seed, 0) == self.SEED
+        # the arm parsed its preset when the experiment was parsed, and only then
+        monkeypatch.setattr(bench, "load_transformer_preset",
+                            lambda name: pytest.fail(f"preset {name!r} parsed again"))
+        assert _arm_configs(exp.arms[0], 0, exp, artifact) == self.RESOLVED[name]
+        assert exp.arms[0].architecture == self.RESOLVED[name][0].family
 
     @pytest.mark.parametrize("block, key", [("train", "dropout"), ("train", "stride"),
                                             ("model", "widht")])
@@ -507,6 +552,17 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(self.sweep_config(), {}, tmp_path)
 
+    @pytest.mark.parametrize("grid, budget, match", [
+        ({"learning_rate": 0.01}, None, "grid key 'learning_rate' must be a non-empty array"),
+        ([1, 2], None, "grid must be a non-empty JSON object"),
+        ({"learning_rate": []}, None, "grid key 'learning_rate' must be a non-empty array"),
+        ({"learning_rate": [1e-3, 1e-2]}, 0, "budget must be >= 1, not 0"),
+    ], ids=["scalar-values", "array-grid", "empty-values", "zero-budget"])
+    def test_malformed_grid_or_budget_rejected(self, grid, budget, match, tmp_path):
+        with pytest.raises(ConfigError, match=match):
+            sweep(self.sweep_config(), grid, tmp_path / "out", budget=budget)
+        assert not (tmp_path / "out").exists()
+
     def test_grid_over_model_block_key(self, tmp_path):
         cfg = base_config()
         cfg["arms"] = [dict(cfg["arms"][2], family="hierarchical_joint")]
@@ -564,6 +620,66 @@ class TestCli:
         assert main(["report", "--report", str(out / "report.json")]) == 0
         table = capsys.readouterr().out
         assert "vanilla" in table and "F1" in table
+
+    def test_report_rerenders_byte_identically(self, trained_run, tmp_path):
+        _, out = trained_run
+        assert main(["report", "--report", str(out / "report.json"),
+                     "--out", str(tmp_path)]) == 0
+        for name in ("report.json", "metrics.csv"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (dict.clear, "not a report of arms and their metrics"),
+        (lambda doc: doc.pop("timing"), "not a report of arms and their metrics"),
+        (lambda doc: doc["deterministic"]["arms"]["vanilla"].update(f1="0.5"),
+         "arm 'vanilla': 'f1' must be a number or null, not '0.5'"),
+    ], ids=["empty", "no-timing", "string-metric"])
+    def test_report_rejects_other_documents(self, edit, message, trained_run, tmp_path,
+                                            capsys):
+        _, out = trained_run
+        doc = json.loads((out / "report.json").read_text())
+        edit(doc)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        (tmp_path / "out").mkdir()
+        assert main(["report", "--report", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_report_renders_null_as_missing(self, trained_run, tmp_path, capsys):
+        _, out = trained_run
+        doc = json.loads((out / "report.json").read_text())
+        doc["deterministic"]["arms"]["vanilla"]["f1"] = None
+        doc["timing"]["arm_seconds"]["vanilla"] = None
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        (tmp_path / "out").mkdir()
+        assert main(["report", "--report", str(path), "--out", str(tmp_path / "out")]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert row[0] == "vanilla" and row[3] == "-"
+        with open(tmp_path / "out" / "metrics.csv", newline="") as fh:
+            written = list(csv.DictReader(fh))[0]
+        assert (written["f1"], written["seconds"]) == ("nan", "nan")
+
+    def test_report_rejects_a_sweep_report(self, pipeline, tmp_path, capsys):
+        _, data_dir, _ = pipeline
+        cfg = csv_config(data_dir, 0)
+        cfg["arms"][0]["train"]["epochs"] = 1
+        sweep(cfg, {"learning_rate": [1e-3]}, tmp_path)
+        path = tmp_path / "sweep_report.json"
+        assert main(["report", "--report", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}: not a report of arms and their metrics\n"
+
+    def test_sweep_budget_flag_of_zero_rejected(self, pipeline, tmp_path, capsys):
+        _, data_dir, _ = pipeline
+        cfg_path, grid = tmp_path / "exp.json", tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(csv_config(data_dir, 0)))
+        grid.write_text(json.dumps({"learning_rate": [1e-3, 1e-2]}))
+        assert main(["sweep", "--config", str(cfg_path), "--grid", str(grid), "--budget", "0",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: sweep budget must be >= 1, not 0\n"
+        assert not (tmp_path / "out").exists()
 
     def test_evaluate_checkpoint(self, pipeline, trained_run, tmp_path):
         _, data_dir, _ = pipeline

@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 
 import numpy as np
@@ -16,15 +17,15 @@ from tabseq.training import (
     PRESET_NAMES,
     TrainConfig,
     TrainHistory,
+    TransformerPreset,
     _supervised_loss,
     encode_inputs,
     fine_tune,
     index_inputs,
     load_preset,
+    load_transformer_preset,
     mask_tokens,
     predict_scores,
-    preset_model_spec,
-    preset_train_config,
     pretrain_mlm,
     restore_model,
     save_model,
@@ -91,7 +92,7 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=key):
             TrainConfig.from_json({key: 0.5})
         with pytest.raises(ConfigError, match=key):
-            preset_train_config(load_preset("fraud_tabbert"), **{key: 0.5})
+            TrainConfig.from_json({**load_transformer_preset("fraud_tabbert").train, key: 0.5})
 
     def test_history_csv(self, tmp_path):
         h = TrainHistory()
@@ -607,44 +608,58 @@ class TestPresets:
         with pytest.raises(ConfigError):
             load_preset("nope")
 
+    def test_names_are_the_shipped_files(self):
+        shipped = importlib.resources.files("tabseq.presets").iterdir()
+        assert sorted(PRESET_NAMES) == sorted(p.name.removesuffix(".json") for p in shipped
+                                              if p.name.endswith(".json"))
+
     def test_preset_to_train_config(self):
-        cfg = preset_train_config(load_preset("fraud_tabbert"))
+        cfg = TrainConfig.from_json(load_transformer_preset("fraud_tabbert").train)
         assert cfg.learning_rate == 5e-5
         assert cfg.batch_size == 8
         assert cfg.mlm_probability == 0.15
 
     @staticmethod
-    def renamed(preset, old, new):
-        """``preset`` with key ``old`` spelt ``new``."""
-        preset = dict(preset)
-        preset[new] = preset.pop(old)
-        return preset
+    def parse(monkeypatch, edit) -> TransformerPreset:
+        """``load_transformer_preset("fraud_tabbert")`` of its document after ``edit``."""
+        doc = load_preset("fraud_tabbert")
+        edit(doc)
+        monkeypatch.setattr(training, "load_preset", lambda name: doc)
+        return load_transformer_preset("fraud_tabbert")
 
-    def test_misspelt_architecture_key_rejected(self):
-        preset = self.renamed(load_preset("fraud_tabbert"), "hidden_units", "hiden_units")
-        with pytest.raises(ConfigError, match=r"missing keys \['hidden_units'\], "
-                                              r"unknown keys \['hiden_units'\]"):
-            preset_model_spec(preset)
+    def test_misspelt_architecture_key_rejected(self, monkeypatch):
+        with pytest.raises(ConfigError, match=r"^preset 'fraud_tabbert': unknown key "
+                                              r"'hiden_units'$"):
+            self.parse(monkeypatch, lambda d: d.update(hiden_units=d.pop("hidden_units")))
+        with pytest.raises(ConfigError, match=r"^preset 'fraud_tabbert': missing key "
+                                              r"'hidden_units'$"):
+            self.parse(monkeypatch, lambda d: d.pop("hidden_units"))
 
-    def test_misspelt_optimisation_key_rejected(self):
+    def test_misspelt_optimisation_key_rejected(self, monkeypatch):
         # read with defaults, these came back as mlm_probability=None, optimizer='adam'
-        preset = self.renamed(load_preset("fraud_tabbert"), "mlm_probability",
-                              "mlm_probabilty")
-        del preset["optimizer"]
-        with pytest.raises(ConfigError, match=r"missing keys \['mlm_probability', "
-                                              r"'optimizer'\], unknown keys "
-                                              r"\['mlm_probabilty'\]"):
-            preset_train_config(preset)
+        with pytest.raises(ConfigError, match=r"^preset 'fraud_tabbert': unknown key "
+                                              r"'mlm_probabilty'$"):
+            self.parse(monkeypatch, lambda d: d.update(mlm_probabilty=d.pop("mlm_probability")))
+        for key in ("mlm_probability", "optimizer"):
+            with pytest.raises(ConfigError, match=rf"^preset 'fraud_tabbert': missing key "
+                                                  rf"'{key}'$"):
+                self.parse(monkeypatch, lambda d: d.pop(key))
+
+    @pytest.mark.parametrize("key", ["hidden_units", "window_size"])
+    def test_wrongly_typed_key_rejected(self, key, monkeypatch):
+        with pytest.raises(ConfigError, match=rf"^preset 'fraud_tabbert'\.{key} must be int"):
+            self.parse(monkeypatch, lambda d: d.update({key: str(d[key])}))
 
     @pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "default_lightgbm"])
     def test_transformer_presets_map(self, name):
-        preset = load_preset(name)
+        doc, preset = load_preset(name), load_transformer_preset(name)
         # every shipped transformer preset carries every key the mappings read
-        spec = preset_model_spec(preset, n=10, m=4, hidden=16, heads=2)
-        assert (spec.family, spec.dropout) == (preset["architecture"], preset["dropout"])
-        assert preset_train_config(preset).mlm_probability == preset["mlm_probability"]
+        spec = ModelSpec.from_json({**preset.model, "n": 10, "m": 4, "hidden": 16, "heads": 2})
+        assert (spec.family, spec.dropout) == (doc["architecture"], doc["dropout"])
+        assert TrainConfig.from_json(preset.train).mlm_probability == doc["mlm_probability"]
 
     def test_preset_overrides(self):
-        cfg = preset_train_config(load_preset("fraud_twintower"), epochs=2, seed=5)
+        cfg = TrainConfig.from_json({**load_transformer_preset("fraud_twintower").train,
+                                     "epochs": 2, "seed": 5})
         assert cfg.epochs == 2 and cfg.seed == 5
         assert cfg.learning_rate == 4.35e-5 and cfg.batch_size == 256
