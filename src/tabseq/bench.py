@@ -349,6 +349,9 @@ def _float(value) -> float:
 
 
 def write_report(report: dict, out_dir) -> None:
+    """Write ``report.json`` and ``metrics.csv`` into ``out_dir``, creating it."""
+    with output_to(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "report.json"), report)
     path = os.path.join(out_dir, "metrics.csv")
     with output_to(path), open(path, "w", newline="", encoding="utf-8") as fh:

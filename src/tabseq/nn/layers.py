@@ -123,8 +123,7 @@ class MultiHeadSelfAttention(Module):
         if counter is not None:
             counter.add(x.shape[0] * self.heads * x.shape[1] ** 2)
         out = self.wo(T.attention(self.wq(x), self.wk(x), self.wv(x), self.heads))
-        if dropout > 0.0 and rng is not None:
-            out = T.dropout(out, dropout, rng)
+        out = T.dropout(out, dropout, rng)
         return self.norm(x + out)
 
 
@@ -140,8 +139,7 @@ class FeedForward(Module):
         self, x: Tensor, dropout: float = 0.0, rng: np.random.Generator | None = None
     ) -> Tensor:
         out = self.lin2(T.gelu(self.lin1(x)))
-        if dropout > 0.0 and rng is not None:
-            out = T.dropout(out, dropout, rng)
+        out = T.dropout(out, dropout, rng)
         return self.norm(x + out)
 
 

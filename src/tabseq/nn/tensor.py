@@ -357,44 +357,37 @@ def softmax(a, axis=-1) -> Tensor:
     return Tensor(out, _parents=(a,), _backward_fn=lambda g: (_softmax_grad(out, g, axis),))
 
 
-def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """[n, D] sums of ``rows`` grouped by ``index``: one ``bincount`` per column,
-    which adds in index order and so equals ``np.add.at`` bit for bit."""
-    return np.stack([np.bincount(index, weights=col, minlength=n) for col in rows.T], axis=1)
-
-
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row gather from an embedding table; backward scatter-adds."""
+    """Row gather from an embedding table: ``take`` after a range check."""
     ids = np.asarray(ids)
     if ids.min() < 0 or ids.max() >= table.shape[0]:
         raise RangeError("embedding id out of table range")
-
-    def backward(g):
-        return (_scatter_rows(ids.reshape(-1), g.reshape(-1, table.shape[1]), table.shape[0]),)
-
-    return Tensor(table.data[ids], _parents=(table,), _backward_fn=backward)
+    return take(table, (ids,))
 
 
 def take(a, idx: tuple) -> Tensor:
     """Select ``a[idx]`` for a tuple of integer arrays indexing the leading axes
-    of ``a``; backward scatter-adds into the source."""
+    of ``a``; backward scatter-adds into the source with ``np.add.at``, which
+    adds repeated indices one at a time in index order."""
     a = as_tensor(a)
-    lead = a.shape[:len(idx)]
 
     def backward(g):
-        rows = _scatter_rows(np.ravel_multi_index(idx, lead), g.reshape(len(g), -1),
-                             int(np.prod(lead)))
-        return (rows.reshape(a.shape),)
+        grad = np.zeros(a.shape)
+        np.add.at(grad, idx, g)
+        return (grad,)
 
     return Tensor(a.data[idx], _parents=(a,), _backward_fn=backward)
 
 
-def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a seeded Bernoulli mask; call only in training."""
+def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout with a seeded Bernoulli mask; call only in training.
+    At ``p = 0`` it returns its input and needs no ``rng``."""
     if not 0.0 <= p < 1.0:
         raise RangeError("dropout probability must lie in [0, 1)")
     if p == 0.0:
         return as_tensor(a)
+    if rng is None:
+        raise RangeError(f"dropout {p} needs a random generator")
     a = as_tensor(a)
     mask = (rng.random(a.shape) >= p) / (1.0 - p)
     return Tensor(a.data * mask, _parents=(a,), _backward_fn=lambda g: (g * mask,))

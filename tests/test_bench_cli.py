@@ -628,6 +628,12 @@ class TestCli:
         for name in ("report.json", "metrics.csv"):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
+    def test_report_creates_out_dir(self, trained_run, tmp_path):
+        _, out = trained_run
+        fresh = tmp_path / "new" / "dir"
+        assert main(["report", "--report", str(out / "report.json"), "--out", str(fresh)]) == 0
+        assert (fresh / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
     @pytest.mark.parametrize("edit, message", [
         (dict.clear, "not a report of arms and their metrics"),
         (lambda doc: doc.pop("timing"), "not a report of arms and their metrics"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import grad_check
-from tabseq.errors import ConfigError, ShapeError
+from tabseq.errors import ConfigError, RangeError, ShapeError
 from tabseq.models import ModelSpec, build_model, expected_attention_pairs
 from tabseq.nn import Tensor
 from tabseq.nn import tensor as T
@@ -192,6 +192,19 @@ class TestVanilla:
         model = build_model(ModelSpec("vanilla", 5, 3, hidden=8, heads=2), seed=0)
         x = rng.standard_normal((2, 5, 3))
         assert not np.allclose(model(x).data, model(x[:, ::-1]).data)
+
+    def test_train_forward_applies_dropout(self):
+        spec = ModelSpec("vanilla", 4, 3, hidden=8, heads=2, layers=1, dropout=0.5)
+        model = build_model(spec, seed=0)
+        x = np.random.default_rng(5).standard_normal((5, 4, 3))
+        trained = model(x, train=True, rng=np.random.default_rng(1)).data
+        assert not np.allclose(trained, model(x).data)
+
+    def test_train_forward_without_rng_refused(self):
+        spec = ModelSpec("vanilla", 4, 3, hidden=8, heads=2, layers=1, dropout=0.5)
+        model = build_model(spec, seed=0)
+        with pytest.raises(RangeError):
+            model(np.random.default_rng(5).standard_normal((5, 4, 3)), train=True)
 
 
 class TestTwinTower:

@@ -271,25 +271,37 @@ class TestFusedKernels:
         assert all(np.array_equal(t.data, c) for t, c in zip(tensors, copies))
         assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
 
-    def test_embedding_backward_equals_add_at(self):
+    def test_embedding_backward_equals_bincount_scatter(self):
         rng = np.random.default_rng(38)
-        table = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-        ids = rng.integers(0, 4, (5, 7))  # ids repeat, and rows 4 and 5 get none
-        g = rng.standard_normal((5, 7, 3))
-        T.embedding(table, ids).backward(g)
-        expect = np.zeros((6, 3))
-        np.add.at(expect, ids, g)
-        assert np.array_equal(table.grad, expect)
+        for ids in (rng.integers(0, 4, (5, 7)),  # 2-D, ids repeat, rows 4 and 5 get none
+                    rng.integers(0, 4, 9),       # 1-D with repeats
+                    rng.permutation(6)[:5]):     # 1-D, distinct, one row gets none
+            table = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+            g = rng.standard_normal(ids.shape + (3,))
+            T.embedding(table, ids).backward(g)
+            assert np.array_equal(table.grad, bincount_scatter(table.shape, (ids,), g))
 
-    def test_take_backward_equals_add_at(self):
+    def test_take_backward_equals_bincount_scatter(self):
         rng = np.random.default_rng(39)
-        a = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
-        idx = (rng.integers(0, 2, 20), rng.integers(0, 3, 20), np.full(20, 1))
-        g = rng.standard_normal((20, 5))
-        T.take(a, idx).backward(g)
-        expect = np.zeros(a.shape)
-        np.add.at(expect, idx, g)
-        assert np.array_equal(a.grad, expect)
+        flat = rng.permutation(24)[:20]  # distinct (i, j) pairs, four get none
+        for idx in ((rng.integers(0, 2, 20), rng.integers(0, 3, 20), np.full(20, 1)),
+                    (flat // 12, flat // 4 % 3, flat % 4)):
+            a = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+            g = rng.standard_normal((20, 5))
+            T.take(a, idx).backward(g)
+            assert np.array_equal(a.grad, bincount_scatter(a.shape, idx, g))
+
+
+def bincount_scatter(shape, idx, g):
+    """The gradient of ``a[idx]`` for an ``a`` of ``shape``, summed one
+    ``bincount`` per trailing column over the flattened leading index: an
+    independent oracle that also adds in index order."""
+    lead = shape[:len(idx)]
+    flat = np.ravel_multi_index(idx, lead).reshape(-1)
+    cols = g.reshape(len(flat), -1).T
+    n = int(np.prod(lead))
+    return np.stack([np.bincount(flat, weights=c, minlength=n) for c in cols],
+                    axis=1).reshape(shape)
 
 
 class TestNoGrad:
@@ -466,6 +478,12 @@ class TestLayers:
         c = layer(x, dropout=0.5, rng=np.random.default_rng(4)).data
         assert (a == b).all() and not (a == c).all()
         assert (layer(x).data == layer(x).data).all()
+
+    def test_dropout_without_rng(self):
+        x = Tensor(np.ones((2, 3)))
+        assert T.dropout(x, 0.0, None) is x
+        with pytest.raises(RangeError):
+            T.dropout(x, 0.5, None)
 
 
 def first_adam_step(p, g, lr):
