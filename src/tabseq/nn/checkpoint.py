@@ -2,8 +2,8 @@
 
 A checkpoint is one file: a JSON header line (format tag, version, model
 spec, preprocessing-artifact hash, seed, tensor directory) followed by the
-raw parameter data as little-endian 32-bit floats, concatenated in header
-order.
+raw parameter data as little-endian 64-bit floats, concatenated in header
+order, so a loaded model holds the very values that were saved.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from ..config import output_to
 from ..errors import RangeError, ShapeError
 
 FORMAT_TAG = "tabseq-checkpoint"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(
@@ -40,7 +40,7 @@ def save_checkpoint(
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
         for n in names:
-            fh.write(np.ascontiguousarray(params[n], dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(params[n], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -55,22 +55,18 @@ def load_checkpoint(path):
     try:  # undecodable bytes, bad JSON and a bad tensor directory alike
         header = json.loads(header_line)
         if header.get("format") != FORMAT_TAG or header.get("version") != VERSION:
-            raise RangeError("unsupported checkpoint format or version")
+            raise RangeError(f"{path}: not a version-{VERSION} checkpoint; "
+                             f"retrain or re-save it with this version")
         entries = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise RangeError(f"not a checkpoint file: {exc}") from exc
-    params = {}
-    offset = 0
     for name, shape in entries:
         if not isinstance(name, str) or not all(type(d) is int and d >= 0 for d in shape):
             raise RangeError(f"bad tensor {name!r} of shape {shape} in checkpoint header")
-        size = math.prod(shape)
-        nbytes = 4 * size
-        if offset + nbytes > len(blob):
-            raise ShapeError("checkpoint data truncated")
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-        params[name] = arr.astype(np.float64).reshape(shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise ShapeError("checkpoint has trailing data")
-    return header, params
+    sizes = [math.prod(shape) for _, shape in entries]
+    if 8 * sum(sizes) != len(blob):
+        raise ShapeError(f"{path}: checkpoint data holds {len(blob)} bytes, "
+                         f"its header lists {8 * sum(sizes)}")
+    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    parts = np.split(values, np.cumsum(sizes)[:-1])
+    return header, {name: part.reshape(shape) for (name, shape), part in zip(entries, parts)}

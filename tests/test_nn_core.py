@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -566,8 +569,27 @@ class TestCheckpoint:
         assert header["vocab_hash"] == "abc" and header["seed"] == 7
         assert set(state) == set(params)
         for k in params:
-            # stored as little-endian float32
-            assert np.max(np.abs(state[k] - params[k])) < 1e-6
+            assert np.array_equal(state[k], params[k])  # stored as little-endian float64
+
+    def test_version_1_refused_by_path(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, {"w": np.ones(2)}, {"family": "vanilla"})
+        header, blob = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        path.write_bytes(json.dumps({**doc, "version": 1}).encode() + b"\n"
+                         + np.ones(2, dtype="<f4").tobytes())
+        with pytest.raises(RangeError, match=f"^{re.escape(str(path))}: not a version-2"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [-1, 8, 3])
+    def test_wrong_data_size_refused(self, tmp_path, cut):
+        # one byte short, one value more, and a partial trailing value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones((2, 3))}, {"family": "vanilla"})
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 0 else data + b"\0" * cut)
+        with pytest.raises(ShapeError, match="checkpoint data holds"):
+            load_checkpoint(path)
 
     def test_identical_bytes_for_identical_state(self, tmp_path):
         params = {"w": np.linspace(0, 1, 12).reshape(3, 4)}

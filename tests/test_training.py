@@ -511,6 +511,19 @@ class TestPretrainFineTune:
         # encoder weights were carried over from the checkpoint
         assert (tuned.embed.table.data.shape == model.embed.table.data.shape)
 
+    def test_restored_model_scores_bit_identically(self, tmp_path, fraud_dataset):
+        art, ids, _, y = token_fixture(fraud_dataset)
+        spec = ModelSpec("hierarchical", ids.shape[1], ids.shape[2], hidden=8,
+                         heads=2, layers=1)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=64, epochs=1, seed=0)
+        model, _ = train_supervised(build_model(spec, seed=0, vocab=art.vocab),
+                                    ((ids, None), y), None, cfg)
+        ckpt = tmp_path / "model.ckpt"
+        save_model(ckpt, model, art, seed=0)
+        restored = restore_model(ckpt, art)
+        assert np.array_equal(predict_scores(restored, (ids, None)),
+                              predict_scores(model, (ids, None)))
+
     def test_fine_tune_vocab_mismatch(self, tmp_path, fraud_dataset):
         art, ids, _, y = token_fixture(fraud_dataset)
         spec = ModelSpec("hierarchical", ids.shape[1], ids.shape[2], hidden=8,
