@@ -55,8 +55,7 @@ def load_checkpoint(path):
     try:  # undecodable bytes, bad JSON and a bad tensor directory alike
         header = json.loads(header_line)
         if header.get("format") != FORMAT_TAG or header.get("version") != VERSION:
-            raise RangeError(f"{path}: not a version-{VERSION} checkpoint; "
-                             f"retrain or re-save it with this version")
+            raise RangeError(f"{path}: not a version-{VERSION} {FORMAT_TAG} file")
         entries = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise RangeError(f"not a checkpoint file: {exc}") from exc
