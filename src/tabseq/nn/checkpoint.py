@@ -45,7 +45,8 @@ def save_checkpoint(
 
 def load_checkpoint(path):
     """Returns (header dict, params dict of float64 arrays); a file that cannot
-    be read is a ``RangeError`` naming it."""
+    be read or is not a checkpoint of this version is a ``RangeError``, and
+    data of the wrong size a ``ShapeError``, each naming the file."""
     try:
         with open(path, "rb") as fh:
             header_line = fh.readline()
@@ -58,10 +59,10 @@ def load_checkpoint(path):
             raise RangeError(f"{path}: not a version-{VERSION} {FORMAT_TAG} file")
         entries = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise RangeError(f"not a checkpoint file: {exc}") from exc
+        raise RangeError(f"{path}: not a checkpoint file: {exc}") from exc
     for name, shape in entries:
         if not isinstance(name, str) or not all(type(d) is int and d >= 0 for d in shape):
-            raise RangeError(f"bad tensor {name!r} of shape {shape} in checkpoint header")
+            raise RangeError(f"{path}: bad tensor {name!r} of shape {shape} in its header")
     sizes = [math.prod(shape) for _, shape in entries]
     if 8 * sum(sizes) != len(blob):
         raise ShapeError(f"{path}: checkpoint data holds {len(blob)} bytes, "
