@@ -286,7 +286,7 @@ class TestFusedKernels:
 
     def test_take_backward_equals_bincount_scatter(self):
         rng = np.random.default_rng(39)
-        flat = rng.permutation(24)[:20]  # distinct (i, j) pairs, four get none
+        flat = rng.permutation(24)[:20]  # 20 distinct of the 24 leading cells
         for idx in ((rng.integers(0, 2, 20), rng.integers(0, 3, 20), np.full(20, 1)),
                     (flat // 12, flat // 4 % 3, flat % 4)):
             a = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
@@ -574,8 +574,7 @@ class TestCheckpoint:
     def test_version_1_refused_by_path(self, tmp_path):
         path = tmp_path / "old.ckpt"
         save_checkpoint(path, {"w": np.ones(2)}, {"family": "vanilla"})
-        header, blob = path.read_bytes().split(b"\n", 1)
-        doc = json.loads(header)
+        doc = json.loads(path.read_bytes().split(b"\n", 1)[0])
         path.write_bytes(json.dumps({**doc, "version": 1}).encode() + b"\n"
                          + np.ones(2, dtype="<f4").tobytes())
         with pytest.raises(RangeError, match=f"^{re.escape(str(path))}: not a version-2"):
