@@ -188,9 +188,9 @@ def _supervised_loss(model, out, y):
 
 # Windows per tape-free forward. The largest temporary of a block, [256, 10, 64]
 # float64 = 1.25 MiB, fits a 2 MiB per-core L2 cache; at 512 windows the
-# temporaries outgrow it, and glibc maps them fresh and page-faults them on every
-# block unless an earlier free happened to raise its mmap threshold. Keep it a
-# multiple of 64, so that BLAS tiles each window's rows the same way at any size.
+# temporaries outgrow it. (They stay on the heap at either size, under the
+# 32 MiB mmap threshold that ``tabseq.nn.tensor`` sets.) Keep it a multiple of
+# 64, so that BLAS tiles each window's rows the same way at any size.
 _SCORE_BLOCK = 256
 
 

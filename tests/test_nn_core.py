@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -246,6 +247,16 @@ class TestFusedKernels:
         expect = x * (0.5 * (1.0 + T.erf(x * T._INV_SQRT2)))
         assert np.array_equal(T.gelu(Tensor(x)).data, expect)
 
+    def test_gelu_backward_matches_composed(self):
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((3, 5, 7)) * 3
+        g = rng.standard_normal(x.shape)
+        t = Tensor(x, requires_grad=True)
+        T.gelu(t).backward(g)
+        cdf = 0.5 * (1.0 + T.erf(x * T._INV_SQRT2))
+        pdf = T._INV_SQRT_2PI * np.exp(-0.5 * x * x)
+        assert np.array_equal(t.grad, g * (cdf + x * pdf))
+
     def test_softmax_matches_composed(self):
         rng = np.random.default_rng(41)
         x = rng.standard_normal((2, 3, 4, 4)) * 10
@@ -323,6 +334,21 @@ class TestNoGrad:
         y = T.tsum(x * 2.0)
         y.backward()
         assert (x.grad == 2.0).all()
+
+
+class TestTapeRelease:
+    def test_backward_frees_the_tape_and_walks_it_once(self):
+        x = Tensor(np.linspace(-2.0, 2.0, 6).reshape(2, 3), requires_grad=True)
+        mid = x * 2.0
+        freed = weakref.ref(mid.data)
+        loss = T.tsum(T.gelu(mid))
+        del mid
+        loss.backward()
+        assert freed() is None
+        grad = x.grad.copy()
+        with pytest.raises(RangeError):
+            loss.backward()
+        assert np.array_equal(x.grad, grad)
 
 
 class TestLosses:

@@ -4,6 +4,7 @@
 since the test session may already have imported scipy."""
 
 import math
+import platform
 import subprocess
 import sys
 
@@ -51,3 +52,22 @@ def test_erf_falls_back_to_the_package_import():
     same, value = checked.split()
     assert imported == "True" and same == "True"
     assert abs(float(value) - math.erf(0.5)) <= 1e-15
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")
+def test_import_keeps_freed_heap():
+    # Freeing a training step's tape frees the top of the heap; after the
+    # import glibc keeps it, so the next step reuses its pages without faults.
+    out = run_fresh(
+        "import resource\n"
+        "import numpy as np\n"
+        "import tabseq.nn.tensor\n"
+        "def round_trip():\n"
+        "    arrays = [np.ones(1 << 18) for _ in range(8)]  # eight 2 MiB arrays\n"
+        "    del arrays\n"
+        "round_trip()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(20):\n"
+        "    round_trip()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    assert int(out) / 20 < 64

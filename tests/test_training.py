@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,6 +480,25 @@ class TestPretrainFineTune:
                           mlm_probability=0.15, patience=None, seed=0)
         model, hist = pretrain_mlm(model, ids, None, cfg)
         assert hist.train_loss[-1] < hist.train_loss[0]
+
+    def test_steps_do_not_stack_tapes(self, fraud_dataset):
+        # Four steps peak where one does: each step's tape is freed by its
+        # backward, before the next step's forward runs.
+        art, ids, _, _ = token_fixture(fraud_dataset, n=10)
+        spec = ModelSpec("hierarchical", 10, ids.shape[2], hidden=16, heads=2, layers=1,
+                         head="mlm")
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=64, epochs=1,
+                          mlm_probability=0.15, patience=None, seed=0)
+        peaks = []
+        for n in (64, 256):
+            model = build_model(spec, seed=0, vocab=art.vocab)
+            tracemalloc.start()
+            try:
+                pretrain_mlm(model, ids[:n], None, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_higher_masking_higher_final_loss(self, fraud_dataset):
         art, ids, _, _ = token_fixture(fraud_dataset)
