@@ -55,15 +55,14 @@ def _load_erf():
 
 erf = _load_erf()
 
-# glibc's mallopt parameters, and the values this module sets at import. A
-# training step's tape is freed during its backward, so at the end of every
-# step the top of the heap is free. Under glibc's default policy it trims that
-# back to the OS, and raises its mmap threshold only after freeing a mapped
-# block, so the next step's forward faults the same pages in again. Fixed
-# thresholds keep the freed heap for the next step (one MLM epoch at benchmark
-# shapes: 539k minor faults under the default policy, 3k with these values):
-# blocks up to 32 MiB (glibc's cap on the threshold) come from the heap, and
-# up to 128 MiB free at its top is kept.
+# glibc's mallopt parameters, and the values this module sets at import.
+# Backward frees a step's tape, so every step ends with free memory at the top
+# of the heap. glibc's default policy trims that back to the OS (and maps large
+# blocks afresh until a free raises its mmap threshold), so the next step's
+# forward faults the same pages in again: one MLM epoch at benchmark shapes
+# took 539k minor faults, against 3k with these values. Blocks up to 32 MiB
+# (glibc's cap on the threshold) come from the heap, and up to 128 MiB free at
+# its top is kept.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 << 20
@@ -418,9 +417,9 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 def take(a, idx: tuple) -> Tensor:
     """Select ``a[idx]`` for a tuple of non-negative integer arrays indexing the
     leading axes of ``a``. Backward scatter-adds into the flattened source with
-    one ``np.add.at`` over 1-D indices and values, which numpy runs on its fast
-    path (4-6x faster than indexing by the tuple); it adds repeated indices one
-    at a time in index order."""
+    one ``np.add.at`` over 1-D indices and values, which takes numpy's fast
+    path where a tuple index does not; it adds repeated indices one at a time
+    in index order."""
     a = as_tensor(a)
 
     def backward(g):

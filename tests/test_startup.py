@@ -1,7 +1,8 @@
-"""What a fresh ``import tabseq.cli`` loads. GELU needs one scipy ufunc,
-``erf``; tabseq loads the extension module that defines it without running
-``scipy.special``'s package import. Each check runs in its own interpreter,
-since the test session may already have imported scipy."""
+"""What a fresh ``import tabseq.cli`` loads and sets. GELU needs one scipy
+ufunc, ``erf``; tabseq loads the extension module that defines it without
+running ``scipy.special``'s package import. ``tabseq.nn.tensor`` sets glibc's
+heap thresholds. Each check runs in its own interpreter, since the test
+session may already have imported scipy and its heap state is its own."""
 
 import math
 import platform
