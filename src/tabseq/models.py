@@ -194,10 +194,7 @@ class HierarchicalModel(Module):
             self.value_w = Tensor(rng.standard_normal((spec.m, spec.hidden)) * 0.1,
                                   requires_grad=True)
             self.value_b = Tensor(np.zeros((spec.m, spec.hidden)), requires_grad=True)
-
-    def _numeric_columns(self) -> list[int]:
-        return [j for j, ft in enumerate(self.vocab.fields)
-                if ft.kind is FieldKind.NUMERICAL]
+        self.numeric = np.array([ft.kind is FieldKind.NUMERICAL for ft in vocab.fields])
 
     def _cell_embeddings(self, ids, raw, mask) -> Tensor:
         emb = self.embed(ids)  # [R, M, H]
@@ -207,12 +204,8 @@ class HierarchicalModel(Module):
             raise ShapeError("joint family needs raw numerical values alongside token ids")
         # numerical cells: raw value projection, except masked cells which
         # keep the MASK token embedding
-        num_cols = self._numeric_columns()
         value = Tensor(raw[..., None]) * self.value_w + self.value_b  # [R, M, H]
-        use_value = np.zeros(ids.shape, dtype=bool)
-        use_value[..., num_cols] = True
-        use_value &= ~mask
-        sel = Tensor(use_value[..., None].astype(emb.data.dtype))
+        sel = (self.numeric & ~mask)[..., None]
         return emb * (1.0 - sel) + value * sel
 
     def _check_grid(self, ids) -> None:
@@ -288,24 +281,24 @@ class HierarchicalModel(Module):
         """
         cells, rows = self.encode(ids, raw=raw if self.joint else None,
                                   mask=mask, train=train, rng=rng)
-        reps = cells + T.reshape(rows, (rows.shape[0], rows.shape[1], 1, rows.shape[2]))
+        # every masked cell once, field-major: each field's cells keep row order
+        field, b, t = np.nonzero(np.moveaxis(mask, 2, 0))
+        picked = T.take(cells, (b, t, field)) + T.take(rows, (b, t))
 
         ce_terms, mse_terms = [], []  # (loss term, masked cells) per field
         for j, ft in enumerate(self.vocab.fields):
-            rows_j, cols_j = np.nonzero(mask[:, :, j])
-            if len(rows_j) == 0:
+            at = np.flatnonzero(field == j)
+            if len(at) == 0:
                 continue
-            picked = T.take(reps, (rows_j, cols_j, np.full(len(rows_j), j)))
-            out = self.mlm_heads[j](picked)
+            out = self.mlm_heads[j](T.take(picked, (at,)))
             if self.joint and ft.kind is FieldKind.NUMERICAL:
-                target = raw[rows_j, cols_j, j]
-                mse_terms.append((T.mse(T.reshape(out, (len(rows_j),)), Tensor(target)),
-                                  len(rows_j)))
+                target = raw[b[at], t[at], j]
+                mse_terms.append((T.mse(T.reshape(out, (len(at),)), Tensor(target)), len(at)))
             else:
-                local = targets[rows_j, cols_j, j] - ft.start
+                local = targets[b[at], t[at], j] - ft.start
                 if local.min() < 0 or local.max() >= ft.size:
                     raise ShapeError(f"target token outside field range for {ft.name!r}")
-                ce_terms.append((T.cross_entropy(out, local), len(rows_j)))
+                ce_terms.append((T.cross_entropy(out, local), len(at)))
 
         loss = _weighted_mean(ce_terms)
         if mse_terms:
@@ -317,10 +310,7 @@ def _weighted_mean(terms) -> Tensor:
     """``Tensor(0.0) + Σ term·(count/total)`` over the ``(term, count)`` pairs, in
     order; no pair gives ``Tensor(0.0)``."""
     total = sum(count for _, count in terms)
-    loss = Tensor(0.0)
-    for term, count in terms:
-        loss = loss + term * (count / total)
-    return loss
+    return sum((term * (count / total) for term, count in terms), Tensor(0.0))
 
 
 def build_model(spec: ModelSpec, seed: int, vocab: Vocabulary | None = None):

@@ -45,8 +45,9 @@ def save_checkpoint(
 
 def load_checkpoint(path):
     """Returns (header dict, params dict of float64 arrays); a file that cannot
-    be read or is not a checkpoint of this version is a ``RangeError``, and
-    data of the wrong size a ``ShapeError``, each naming the file."""
+    be read, is not a checkpoint of this version or lists a tensor twice is a
+    ``RangeError``, and data of the wrong size a ``ShapeError``, each naming
+    the file."""
     try:
         with open(path, "rb") as fh:
             header_line = fh.readline()
@@ -60,9 +61,13 @@ def load_checkpoint(path):
         entries = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise RangeError(f"{path}: not a checkpoint file: {exc}") from exc
+    seen = set()
     for name, shape in entries:
         if not isinstance(name, str) or not all(type(d) is int and d >= 0 for d in shape):
             raise RangeError(f"{path}: bad tensor {name!r} of shape {shape} in its header")
+        if name in seen:
+            raise RangeError(f"{path}: tensor {name!r} is listed twice in its header")
+        seen.add(name)
     sizes = [math.prod(shape) for _, shape in entries]
     if 8 * sum(sizes) != len(blob):
         raise ShapeError(f"{path}: checkpoint data holds {len(blob)} bytes, "

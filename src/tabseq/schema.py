@@ -305,7 +305,9 @@ def _report_bad_row(rows, header, schema: Schema, first_row: int) -> None:
             if _parse_cell(row[col_of[spec.name]], spec, row_no) is None and not spec.nullable:
                 raise ParseError(f"missing value in non-nullable field {spec.name!r}", row=row_no)
         try:
-            time_index = int(float(row[time_i]))
+            time_index = float(row[time_i])
+            if time_index != int(time_index):
+                raise ValueError
         except (ValueError, OverflowError):
             raise ParseError(f"non-integer time index {row[time_i]!r}", row=row_no)
         if not -2**63 <= time_index < 2**63:
@@ -331,8 +333,8 @@ def _csv_block(rows, header, schema: Schema, first_row: int):
             raise ValueError("row width")
         cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
         t = np.fromiter(map(float, cells[schema.time_key]), np.float64, len(rows))
-        if not np.all((t >= -2.0**63) & (t < 2.0**63)):  # NaN and inf fail too
-            raise ValueError("time index outside the 64-bit range")
+        if not np.all((t >= -2.0**63) & (t < 2.0**63) & (t == np.trunc(t))):  # NaN, inf too
+            raise ValueError("time index not a whole number in the 64-bit range")
         entities, entity = _factorize(cells[schema.entity_key])
         return ([_csv_column(cells[spec.name], spec) for spec in schema.fields],
                 Column(entity, entities), t.astype(np.int64))

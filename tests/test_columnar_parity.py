@@ -2,8 +2,10 @@
 
 The oracle below is the per-row loader, imputation, windowing, fitting and
 encoding that ``schema.py`` and ``preprocess.py`` ran on tuples of ``Record``s
-before the dataset became columns. It differs in one rule only: a time index
-outside the 64-bit range is an error, because the columns hold it as int64.
+before the dataset became columns. It differs in two rules only: a time index
+outside the 64-bit range is an error, because the columns hold it as int64;
+and a time index that is not a whole number is an error, where the per-row
+code truncated it (``1.5`` and ``1.9`` both became 1).
 """
 
 import csv
@@ -72,10 +74,13 @@ def oracle_load(path, schema):
                     values.append(v)
                 text = row[col_of[schema.time_key]]
                 try:
-                    time_index = int(float(text))
+                    value = float(text)
+                    time_index = int(value)
                 except (ValueError, OverflowError):
                     raise ParseError(f"non-integer time index {text!r}", row=row_no)
-                if not -2**63 <= time_index < 2**63:  # the one new rule
+                if time_index != value:  # the second new rule
+                    raise ParseError(f"non-integer time index {text!r}", row=row_no)
+                if not -2**63 <= time_index < 2**63:  # the first new rule
                     raise ParseError(f"time index {text!r} is outside the 64-bit range",
                                      row=row_no)
                 records.append(Record(tuple(values), row[col_of[schema.entity_key]], time_index))

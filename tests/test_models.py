@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from gradcheck import grad_check
 from tabseq.errors import ConfigError, RangeError, ShapeError
-from tabseq.models import ModelSpec, build_model, expected_attention_pairs
+from tabseq.models import HierarchicalModel, ModelSpec, build_model, expected_attention_pairs
 from tabseq.nn import Tensor
 from tabseq.nn import tensor as T
 from tabseq.preprocess import N_SPECIALS, FieldTokens, Vocabulary
@@ -390,6 +391,86 @@ class TestJointLoss:
         raw2[0, 0, 1] = 99.0
         _, rows_b = model.encode(masked, raw=raw2, mask=mask)
         assert np.max(np.abs(rows_a.data - rows_b.data)) == 0.0
+
+
+def reps_cell_embeddings(model, ids, raw, mask):
+    """The joint cell selection before it became a constant array: ``sel`` on
+    the tape."""
+    emb = model.embed(ids)
+    if not model.joint:
+        return emb
+    value = Tensor(raw[..., None]) * model.value_w + model.value_b
+    use_value = np.zeros(ids.shape, dtype=bool)
+    use_value[..., [j for j, ft in enumerate(model.vocab.fields)
+                    if ft.kind is FieldKind.NUMERICAL]] = True
+    use_value &= ~mask
+    sel = Tensor(use_value[..., None].astype(emb.data.dtype))
+    return emb * (1.0 - sel) + value * sel
+
+
+def reps_mlm_loss(model, ids, targets, mask, raw=None, train=False, rng=None):
+    """The MLM loss that built the [B, N, M, H] sum ``reps`` and gathered each
+    field's masked cells from it, kept as the oracle of the one-gather loss."""
+    with mock.patch.object(HierarchicalModel, "_cell_embeddings", reps_cell_embeddings):
+        cells, rows = model.encode(ids, raw=raw if model.joint else None,
+                                   mask=mask, train=train, rng=rng)
+    reps = cells + T.reshape(rows, (rows.shape[0], rows.shape[1], 1, rows.shape[2]))
+    ce_terms, mse_terms = [], []
+    for j, ft in enumerate(model.vocab.fields):
+        rows_j, cols_j = np.nonzero(mask[:, :, j])
+        if len(rows_j) == 0:
+            continue
+        out = model.mlm_heads[j](T.take(reps, (rows_j, cols_j, np.full(len(rows_j), j))))
+        if model.joint and ft.kind is FieldKind.NUMERICAL:
+            target = raw[rows_j, cols_j, j]
+            mse_terms.append((T.mse(T.reshape(out, (len(rows_j),)), Tensor(target)),
+                              len(rows_j)))
+        else:
+            local = targets[rows_j, cols_j, j] - ft.start
+            ce_terms.append((T.cross_entropy(out, local), len(rows_j)))
+
+    def weighted_mean(terms):
+        total = sum(count for _, count in terms)
+        loss = Tensor(0.0)
+        for term, count in terms:
+            loss = loss + term * (count / total)
+        return loss
+
+    loss = weighted_mean(ce_terms)
+    if mse_terms:
+        loss = loss + model.spec.mlm_lambda * weighted_mean(mse_terms)
+    return loss
+
+
+class TestMlmGather:
+    @pytest.mark.parametrize("family", ["hierarchical", "hierarchical_joint"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_loss_and_gradients_equal_reps_oracle(self, family, dropout):
+        vocab = small_vocab()
+        spec = ModelSpec(family, 4, 3, hidden=8, heads=2, layers=1, head="mlm",
+                         dropout=dropout, mlm_lambda=0.7 if family.endswith("joint") else 1.0)
+        model = build_model(spec, seed=3, vocab=vocab)
+        rng = np.random.default_rng(31)
+        ids = random_ids(vocab, 5, 4, rng)
+        raw = rng.standard_normal(ids.shape)
+        mask = rng.random(ids.shape) < 0.4
+        mask[:, :, 2] = False  # a field with no masked cell
+        mask[0, 0, :2] = True  # a row with two masked fields
+        masked = np.where(mask, 1, ids)
+        results = []
+        for loss_fn in (reps_mlm_loss, HierarchicalModel.mlm_loss):
+            for p in model.parameters():
+                p.grad = None
+            loss = loss_fn(model, masked, ids, mask, raw=raw, train=dropout > 0,
+                           rng=np.random.default_rng(32))
+            loss.backward()
+            results.append((loss.data, [p.grad for p in model.parameters()]))
+        (want, want_grads), (got, got_grads) = results
+        assert np.array_equal(got, want)
+        assert any(g is None for g in want_grads)  # the unmasked field's head
+        for g, w in zip(got_grads, want_grads):
+            assert (g is None) == (w is None)
+            assert g is None or np.array_equal(g, w)
 
 
 class TestNoGradForward:

@@ -132,3 +132,52 @@ def test_every_public_name_has_a_caller():
                    for p, line in sites[node.name]):
                 uncalled.append(f"{module}.{qualname}")
     assert not uncalled, "no caller outside tests: " + ", ".join(uncalled)
+
+
+def defaulted_parameters(init: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position or None for keyword-only, name) of each parameter of
+    ``init`` that has a default, ``self`` not counted."""
+    positional = [*init.args.posonlyargs, *init.args.args][1:]
+    found = [(i, a.arg) for i, a in enumerate(positional)
+             if i >= len(positional) - len(init.args.defaults)]
+    found += [(None, a.arg) for a, d in zip(init.args.kwonlyargs, init.args.kw_defaults)
+              if d is not None]
+    return found
+
+
+def sets(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether ``call`` passes the parameter, by keyword, by position or
+    through ``*``/``**`` unpacking."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+KNOB_MODULES = [m for m in MODULES if m == "tabseq.models" or m.startswith("tabseq.nn.")]
+
+
+def test_every_constructor_default_is_set_by_a_caller():
+    """A defaulted ``__init__`` parameter of a public class that no call in
+    ``src/`` or ``perfbench/`` passes is a knob nobody turns: make it a class
+    constant instead."""
+    calls = defaultdict(list)  # callee name -> its calls
+    for path in [*MODULES.values(), *sorted(PERFBENCH.rglob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = node.func.attr if isinstance(node.func, ast.Attribute) else \
+                    getattr(node.func, "id", None)
+                calls[callee].append(node)
+    unturned = []
+    for module in KNOB_MODULES:
+        for cls in ast.parse(MODULES[module].read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for init in cls.body:
+                if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                    unset = [name for position, name in defaulted_parameters(init)
+                             if not any(sets(c, position, name) for c in calls[cls.name])]
+                    if unset:
+                        unturned.append(f"{module}.{cls.name}.__init__({', '.join(unset)})")
+    assert not unturned, "defaults no caller sets: " + ", ".join(unturned)

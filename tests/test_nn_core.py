@@ -525,7 +525,64 @@ def first_adam_step(p, g, lr):
     return x.data, opt
 
 
+class PerTensorAdam:
+    """The per-tensor Adam that the flat one replaced, kept as its oracle: the
+    same update expressions, run once per parameter on rebound arrays."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.steps = params, lr, 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.steps += 1
+        bc1 = 1.0 - Adam.beta1**self.steps
+        bc2 = 1.0 - Adam.beta2**self.steps
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            self.m[i] = Adam.beta1 * self.m[i] + (1.0 - Adam.beta1) * g
+            self.v[i] = Adam.beta2 * self.v[i] + (1.0 - Adam.beta2) * g * g
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + Adam.eps)
+
+
+def encoder_params():
+    """An encoder's and a head's parameters, then a 0-d one."""
+    rng = np.random.default_rng(40)
+    modules = [Encoder(8, 2, 2, rng), TaskHead(8, 2, rng)]
+    scalar = Tensor(np.array(0.3), requires_grad=True)
+    return [p for m in modules for p in m.parameters()] + [scalar]
+
+
 class TestAdam:
+    def test_flat_steps_equal_per_tensor_steps(self):
+        flat, per_tensor = encoder_params(), encoder_params()
+        opt, oracle = Adam(flat, lr=0.01), PerTensorAdam(per_tensor, lr=0.01)
+        no_grad = len(flat) - 2  # the head's output bias
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            for i, (a, b) in enumerate(zip(flat, per_tensor)):
+                g = rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-6, 2)
+                a.grad = b.grad = None if i == no_grad else g
+            opt.step()
+            oracle.step()
+            for a, b in zip(flat, per_tensor):
+                assert np.array_equal(a.data, b.data)
+        assert flat[-1].ndim == 0
+
+    def test_parameters_are_views_of_the_buffer(self):
+        params = encoder_params()
+        before = [p.data.copy() for p in params]
+        opt = Adam(params, lr=0.01)
+        assert opt.flat.size == sum(p.data.size for p in params)
+        for p, b in zip(params, before):
+            assert np.shares_memory(p.data, opt.flat) and np.array_equal(p.data, b)
+        for p in params:
+            p.grad = np.ones(p.shape)
+        opt.step()
+        assert all(np.shares_memory(p.data, opt.flat) for p in params)
+
     def test_zero_gradient_keeps_params(self):
         p = np.array([1.0, -2.0])
         out, _ = first_adam_step(p, np.zeros(2), lr=0.1)
@@ -614,6 +671,17 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:cut] if cut < 0 else data + b"\0" * cut)
         with pytest.raises(ShapeError, match="checkpoint data holds"):
+            load_checkpoint(path)
+
+    def test_tensor_listed_twice_refused(self, tmp_path):
+        path = tmp_path / "twice.ckpt"
+        save_checkpoint(path, {"a": np.ones(3), "b": np.ones(2)}, {"family": "vanilla"})
+        head, blob = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(head)
+        doc["tensors"][1]["name"] = "a"  # the later entry would silently win
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + blob)
+        with pytest.raises(RangeError,
+                           match=f"^{re.escape(str(path))}: tensor 'a' is listed twice"):
             load_checkpoint(path)
 
     def test_identical_bytes_for_identical_state(self, tmp_path):

@@ -125,6 +125,17 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 2: non-integer time index 'inf'"):
             load_csv(path, schema)
 
+    def test_fractional_time_index_reports_row(self, tmp_path):
+        # truncated, 1.5 and 1.9 would be one (e1, 1) key that the file does not hold
+        path = tmp_path / "d.csv"
+        path.write_text("entity_id,time_idx,label,amount,channel\n"
+                        "e1,0.0,0,1.0,A\ne1,3.0,0,1.0,A\ne1,1e3,0,1.0,A\n"
+                        "e1,1.5,0,2.0,B\ne1,1.9,0,3.0,B\n")
+        with pytest.raises(ParseError, match="row 5: non-integer time index '1.5'"):
+            load_csv(path, small_schema())
+        path.write_text(path.read_text().rsplit("e1,1.5", 1)[0])
+        assert [r.time_index for r in load_csv(path, small_schema()).records] == [0, 3, 1000]
+
     def test_save_load_round_trip(self, tmp_path):
         d = make_dataset([
             ("e1", 0, 0, 1.25, "A"),
