@@ -175,6 +175,7 @@ class HierarchicalModel(Module):
         self.spec = spec
         self.vocab = vocab
         self.joint = spec.family == "hierarchical_joint"
+        self.numeric = np.array([ft.kind is FieldKind.NUMERICAL for ft in vocab.fields])
         self.counter = AttentionCounter()
         self.embed = L.Embedding(vocab.size, spec.hidden, rng)
         self.field_pos = Tensor(rng.standard_normal((spec.m, spec.hidden)) * 0.02,
@@ -183,18 +184,14 @@ class HierarchicalModel(Module):
                               requires_grad=True)
         self.field_encoder = L.Encoder(spec.hidden, spec.heads, spec.field_layers, rng)
         self.seq_encoder = L.Encoder(spec.hidden, spec.heads, spec.layers, rng)
-        self.mlm_heads = [
-            L.Linear(spec.hidden, 1 if (self.joint and ft.kind is FieldKind.NUMERICAL)
-                     else ft.size, rng)
-            for ft in vocab.fields
-        ]
+        self.mlm_heads = [L.Linear(spec.hidden, 1 if self.joint and numeric else ft.size, rng)
+                          for ft, numeric in zip(vocab.fields, self.numeric)]
         self.task_head = L.TaskHead(spec.hidden, _head_width(
             spec.head if spec.head != "mlm" else "binary"), rng)
         if self.joint:
             self.value_w = Tensor(rng.standard_normal((spec.m, spec.hidden)) * 0.1,
                                   requires_grad=True)
             self.value_b = Tensor(np.zeros((spec.m, spec.hidden)), requires_grad=True)
-        self.numeric = np.array([ft.kind is FieldKind.NUMERICAL for ft in vocab.fields])
 
     def _cell_embeddings(self, ids, raw, mask) -> Tensor:
         emb = self.embed(ids)  # [R, M, H]
@@ -286,12 +283,10 @@ class HierarchicalModel(Module):
         picked = T.take(cells, (b, t, field)) + T.take(rows, (b, t))
 
         ce_terms, mse_terms = [], []  # (loss term, masked cells) per field
-        for j, ft in enumerate(self.vocab.fields):
-            at = np.flatnonzero(field == j)
-            if len(at) == 0:
-                continue
+        for j in np.unique(field):
+            ft, at = self.vocab.fields[j], np.flatnonzero(field == j)
             out = self.mlm_heads[j](T.take(picked, (at,)))
-            if self.joint and ft.kind is FieldKind.NUMERICAL:
+            if self.joint and self.numeric[j]:
                 target = raw[b[at], t[at], j]
                 mse_terms.append((T.mse(T.reshape(out, (len(at),)), Tensor(target)), len(at)))
             else:

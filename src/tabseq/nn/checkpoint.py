@@ -46,8 +46,7 @@ def save_checkpoint(
 def load_checkpoint(path):
     """Returns (header dict, params dict of float64 arrays); a file that cannot
     be read, is not a checkpoint of this version or lists a tensor twice is a
-    ``RangeError``, and data of the wrong size a ``ShapeError``, each naming
-    the file."""
+    ``RangeError``, and data of the wrong size a ``ShapeError``, each naming it."""
     try:
         with open(path, "rb") as fh:
             header_line = fh.readline()

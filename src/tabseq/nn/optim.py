@@ -9,9 +9,8 @@ from .tensor import Tensor
 
 
 class Adam:
-    """Adam over a fixed list of tensors; a parameter without a gradient
-    takes a zero gradient. The parameters become views of one flat buffer,
-    which each step updates with one pass of the elementwise update."""
+    """Adam over tensors that become views of one flat buffer, which a step
+    updates in one pass; a parameter without a gradient takes a zero gradient."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
