@@ -446,16 +446,18 @@ class TestMlmGather:
     @pytest.mark.parametrize("family", ["hierarchical", "hierarchical_joint"])
     @pytest.mark.parametrize("dropout", [0.0, 0.2])
     def test_loss_and_gradients_equal_reps_oracle(self, family, dropout):
-        vocab = small_vocab()
-        spec = ModelSpec(family, 4, 3, hidden=8, heads=2, layers=1, head="mlm",
+        last = small_vocab().fields[-1]
+        vocab = Vocabulary((*small_vocab().fields, FieldTokens(
+            "cat_c", FieldKind.CATEGORICAL, last.start + last.size, ("u", "v"))))
+        spec = ModelSpec(family, 4, 4, hidden=8, heads=2, layers=1, head="mlm",
                          dropout=dropout, mlm_lambda=0.7 if family.endswith("joint") else 1.0)
         model = build_model(spec, seed=3, vocab=vocab)
         rng = np.random.default_rng(31)
         ids = random_ids(vocab, 5, 4, rng)
         raw = rng.standard_normal(ids.shape)
-        mask = rng.random(ids.shape) < 0.4
-        mask[:, :, 2] = False  # a field with no masked cell
-        mask[0, 0, :2] = True  # a row with two masked fields
+        mask = rng.random(ids.shape) < 0.5
+        mask[:, :, 3] = False  # a field with no masked cell
+        mask[:, :2, :3] = True  # rows whose gradient sums three masked fields
         masked = np.where(mask, 1, ids)
         results = []
         for loss_fn in (reps_mlm_loss, HierarchicalModel.mlm_loss):
